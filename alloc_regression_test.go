@@ -1,8 +1,9 @@
-// Allocation-regression pins for the phase 1-3 hot path. The constants
-// are the seed tree's -benchmem numbers for BenchmarkParallel_Phases13
-// (recorded in EXPERIMENTS.md, "PR 3 — allocation profile"); the interned
-// bitset taint lattice and slice-indexed solver must stay at least 40%
-// below them. Allocation counts are scheduling-independent on this
+// Allocation-regression pins for the phase 1-3 hot path and the
+// report-cache hit path. The phase 1-3 constants are the seed tree's
+// -benchmem numbers for BenchmarkParallel_Phases13 (recorded in
+// EXPERIMENTS.md, "PR 3 — allocation profile"); the interned bitset
+// taint lattice and slice-indexed solver must stay at least 40% below
+// them. Allocation counts are scheduling-independent on this
 // workload (unlike wall time), so the pin is stable in CI.
 package safeflow_test
 
@@ -11,6 +12,8 @@ import (
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
+	"safeflow/internal/cpp"
+	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
 )
 
@@ -65,6 +68,54 @@ func TestAllocRegression_Phases13(t *testing.T) {
 			}
 			t.Logf("%s: %d allocs/op, %d B/op (seed %d allocs, %d B)",
 				sys.Name, allocs, bytes, base.allocs, base.bytes)
+		})
+	}
+}
+
+// Report-cache hit path: a repeat analysis served from a disk store
+// (fingerprint, store read, decode) must stay a small fraction of a
+// cold run. Measured at 772 / 832 / 800 allocs/op and 53-60 KiB/op for
+// IP / Generic Simplex / Double IP; the pins leave about 25% headroom.
+const (
+	maxHitAllocs = 1000
+	maxHitBytes  = 80 << 10
+)
+
+func TestAllocRegression_ReportCacheHit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin skipped in -short mode")
+	}
+	for _, sys := range corpus.All() {
+		t.Run(sys.Name, func(t *testing.T) {
+			src, err := sys.SourceMap()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dc, err := diskcache.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.Options{DiskCache: dc}
+			if _, err := core.AnalyzeSources(sys.Name, cpp.MapSource(src), sys.CFiles, opts); err != nil {
+				t.Fatal(err)
+			}
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rep, err := core.AnalyzeSources(sys.Name, cpp.MapSource(src), sys.CFiles, opts)
+					if err != nil || rep.Module != nil || len(rep.ErrorsData) != sys.Expected.Errors {
+						b.Fatalf("repeat was not the stored report (err %v)", err)
+					}
+				}
+			})
+			allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+			if allocs > maxHitAllocs {
+				t.Errorf("%s: %d allocs/op on a report-cache hit, want ≤ %d", sys.Name, allocs, maxHitAllocs)
+			}
+			if bytes > maxHitBytes {
+				t.Errorf("%s: %d B/op on a report-cache hit, want ≤ %d", sys.Name, bytes, maxHitBytes)
+			}
+			t.Logf("%s: %d allocs/op, %d B/op on a report-cache hit", sys.Name, allocs, bytes)
 		})
 	}
 }

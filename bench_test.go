@@ -18,6 +18,7 @@ import (
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
+	"safeflow/internal/cpp"
 	"safeflow/internal/dyntaint"
 	"safeflow/internal/frontend"
 	"safeflow/internal/interp"
@@ -60,12 +61,10 @@ func BenchmarkTable1_DoubleIP(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel pipeline: worker counts, batch fan-out, and the summary cache.
-// The Workers1/WorkersMax pairs record the intra-pipeline speedup; the
-// AnalyzeAll pair records the batch fan-out speedup; the SummaryCache pair
-// records the warm-run speedup from the cross-run summary cache. All
-// variants disable the cache except the cache benchmark itself, so they
-// measure the work they name.
+// Parallel pipeline: worker counts and batch fan-out. The
+// Workers1/WorkersMax pairs record the intra-pipeline speedup; the
+// AnalyzeAll pair records the batch fan-out speedup. BenchmarkWarmRepeat
+// records a repeat served from the report cache.
 
 func BenchmarkParallel_IP_Workers1(b *testing.B) {
 	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 1, DisableCache: true})
@@ -146,42 +145,39 @@ func BenchmarkParallel_AnalyzeAll_Serial(b *testing.B) {
 	}
 }
 
-func BenchmarkParallel_SummaryCache(b *testing.B) {
-	sys := corpus.GenericSimplex()
-	b.Run("cold", func(b *testing.B) {
-		benchmarkSystem(b, sys, core.Options{DisableCache: true})
-	})
-	// Every iteration after the first hits the cache entry written by its
-	// predecessor (same content fingerprint).
-	b.Run("warm", func(b *testing.B) {
-		benchmarkSystem(b, sys, core.Options{})
-	})
-}
-
-// BenchmarkParallel_PhaseThreeCache isolates the cached work: the module
-// is compiled once, and each iteration re-runs phases 1–3 on it (the
-// watch-mode shape — reanalysis without recompilation).
-func BenchmarkParallel_PhaseThreeCache(b *testing.B) {
-	sys := corpus.GenericSimplex()
-	src, err := sys.Sources()
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := frontend.Compile(sys.Name, src, sys.CFiles, frontend.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, opts core.Options) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep := core.AnalyzeModule(sys.Name, res, opts)
-			if len(rep.ErrorsData) != sys.Expected.Errors {
-				b.Fatalf("counts diverged")
+// BenchmarkWarmRepeat times a repeat analysis served from the report
+// cache: each iteration is the same system with the same options over a
+// disk store that already holds its report (the CLI -cachedir and
+// daemon repeat shape). Sources are loaded once, outside the timer.
+func BenchmarkWarmRepeat(b *testing.B) {
+	for _, sys := range corpus.All() {
+		b.Run(sys.Name, func(b *testing.B) {
+			src, err := sys.SourceMap()
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
+			dc, err := safeflow.OpenDiskCache(b.TempDir(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := core.Options{DiskCache: dc}
+			analyze := func() *core.Report {
+				rep, err := core.AnalyzeSources(sys.Name, cpp.MapSource(src), sys.CFiles, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return rep
+			}
+			analyze()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := analyze(); len(rep.ErrorsData) != sys.Expected.Errors || rep.Module != nil {
+					b.Fatalf("%s: repeat was not the stored Table 1 report", sys.Name)
+				}
+			}
+		})
 	}
-	b.Run("cold", func(b *testing.B) { run(b, core.Options{}) })
-	b.Run("warm", func(b *testing.B) { run(b, core.Options{CacheKey: "bench-gsx-module"}) })
 }
 
 // ---------------------------------------------------------------------------
@@ -348,8 +344,7 @@ func BenchmarkAblation_StaticVsDynamicTaint(b *testing.B) {
 func BenchmarkAblation_SummaryVsExponential(b *testing.B) {
 	sys := corpus.DoubleIP()
 	b.Run("summaries", func(b *testing.B) {
-		// Cache off: the ablation measures the summary algorithm itself,
-		// not warm-start seeding from a previous iteration.
+		// Cache off: the ablation measures the summary algorithm itself.
 		benchmarkSystem(b, sys, core.Options{DisableCache: true})
 	})
 	b.Run("per_call_path", func(b *testing.B) {
@@ -402,7 +397,7 @@ func (benchWorld) Wait(float64)           {}
 
 // BenchmarkParallel_Phases13 isolates phases 1-3 (no frontend) per corpus
 // system: the module is compiled once outside the timer and every
-// iteration re-analyzes it cold (summary cache off). This is the
+// iteration re-analyzes it cold. This is the
 // allocation-profile baseline the alloc-regression tests pin against.
 func BenchmarkParallel_Phases13(b *testing.B) {
 	for _, sys := range corpus.All() {

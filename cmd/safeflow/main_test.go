@@ -167,7 +167,7 @@ func TestCLIProfilePathErrors(t *testing.T) {
 	}
 }
 
-// -cachedir persists parse and summary results across process
+// -cachedir persists parse results and reports across process
 // "restarts": two runs sharing a cache directory produce identical
 // reports, and an unusable directory is a usage error naming the flag.
 func TestCLICacheDir(t *testing.T) {

@@ -1,8 +1,9 @@
 // Command safeflowd runs the SafeFlow analyzer as a long-lived HTTP
 // service with a persistent shared cache: one daemon process keeps the
-// in-memory parse and summary caches hot across requests, and the
-// content-addressed disk cache (shared with safeflow CLI processes
-// pointed at the same -cachedir) keeps them warm across restarts.
+// in-memory parse cache hot across requests and serves repeated requests
+// from the report cache, and the content-addressed disk cache (shared
+// with safeflow CLI processes pointed at the same -cachedir) keeps both
+// warm across restarts.
 //
 // Usage:
 //

@@ -18,7 +18,6 @@ import (
 
 	"safeflow/internal/corpus"
 	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 )
 
@@ -187,7 +186,6 @@ func pct(sorted []int64, p float64) int64 {
 
 func resetBenchCaches() {
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
 }
 
 // runIncrSmoke is the CI gate: a quick incremental benchmark on a

@@ -45,7 +45,6 @@ import (
 	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
 	"safeflow/internal/report"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 	"safeflow/pkg/simplexrt"
 )
@@ -198,9 +197,9 @@ func runTable1(w io.Writer, stats bool) bool {
 // benchSystem is one corpus system's row in the -json record.
 type benchSystem struct {
 	Name string `json:"name"`
-	// End-to-end wall times through the public pipeline (frontend +
-	// phases 1-3), first run cold, then the fastest of the warm repeats
-	// (parse cache + summary cache hot).
+	// End-to-end wall times through the public pipeline with a disk
+	// cache: the first run cold (frontend + phases 1-3), then the fastest
+	// of the warm repeats (report-cache hits).
 	ColdNS      int64   `json:"end_to_end_cold_ns"`
 	WarmNS      int64   `json:"end_to_end_warm_ns"`
 	WarmSpeedup float64 `json:"warm_speedup"`
@@ -211,7 +210,7 @@ type benchSystem struct {
 	Phases13BytesPerOp  int64 `json:"phases13_bytes_per_op"`
 	// Cache hit rates observed on the last warm run.
 	FrontendCacheHitRate float64 `json:"frontend_cache_hit_rate"`
-	SummaryCacheHitRate  float64 `json:"summary_cache_hit_rate"`
+	ReportCacheHitRate   float64 `json:"report_cache_hit_rate"`
 	// Report-rendering cost for the machine formats (the CI policy gate
 	// renders SARIF on every run, so regressions here are user-visible).
 	JSONRenderNSPerOp  int64 `json:"json_render_ns_per_op"`
@@ -221,8 +220,8 @@ type benchSystem struct {
 // daemonBench is one corpus system's request-latency row for the
 // safeflowd service path: the same analysis issued as POST /v1/analyze,
 // first with every cache empty, then with only the disk tier warm (the
-// restarted-daemon case), then with the in-memory caches hot (the
-// steady-state case).
+// restarted-daemon case), then with the parse cache hot as well (the
+// steady-state case). Both warm requests are report-cache hits.
 type daemonBench struct {
 	Name                string `json:"name"`
 	ColdRequestNS       int64  `json:"request_cold_ns"`
@@ -239,22 +238,32 @@ type benchRecord struct {
 	Incremental   []incrBench   `json:"incremental"`
 }
 
-// runJSON measures every corpus system and emits one benchRecord. It must
-// run in a fresh process (the run loop returns right after it) so the
-// first end-to-end run is genuinely cold: the parse cache is reset
-// explicitly and the summary cache starts empty.
+// runJSON measures every corpus system and emits one benchRecord. The
+// first end-to-end run of each system is genuinely cold: the parse cache
+// is reset and the run's disk store is fresh. The warm repeats are
+// report-cache hits from that store.
 func runJSON(w io.Writer, cacheDir string) error {
 	const warmRuns = 5
 	// Schema v2 added the "daemon" request-latency section; v3 added the
-	// "incremental" session-update section; v4 adds the JSON/SARIF
-	// render-cost columns.
-	rec := benchRecord{SchemaVersion: 4, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	// "incremental" session-update section; v4 added the JSON/SARIF
+	// render-cost columns; v5 replaced the summary-cache hit rate with
+	// the report-cache hit rate (warm runs are report-cache hits).
+	rec := benchRecord{SchemaVersion: 5, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	warmDir, err := os.MkdirTemp("", "sfbench-warm-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(warmDir)
+	warmStore, err := diskcache.Open(warmDir, 0)
+	if err != nil {
+		return err
+	}
 	for _, sys := range corpus.All() {
 		src, err := sys.SourceMap()
 		if err != nil {
 			return fmt.Errorf("%s: %w", sys.Name, err)
 		}
-		opts := safeflow.Options{Stats: true}
+		opts := safeflow.Options{Stats: true, DiskCache: warmStore}
 		frontend.ResetParseCache()
 
 		run := func() (*safeflow.Report, int64, error) {
@@ -330,8 +339,8 @@ func runJSON(w io.Writer, cacheDir string) error {
 			if total := m.FrontendCacheHits + m.FrontendCacheMisses; total > 0 {
 				row.FrontendCacheHitRate = float64(m.FrontendCacheHits) / float64(total)
 			}
-			if total := m.CacheHits + m.CacheMisses; total > 0 {
-				row.SummaryCacheHitRate = float64(m.CacheHits) / float64(total)
+			if total := m.ReportCacheHits + m.ReportCacheMisses; total > 0 {
+				row.ReportCacheHitRate = float64(m.ReportCacheHits) / float64(total)
 			}
 		}
 		rec.Systems = append(rec.Systems, row)
@@ -373,10 +382,7 @@ func benchDaemon(cacheDir string) ([]daemonBench, error) {
 	srv := httptest.NewServer(daemon.New(daemon.Config{Cache: dc}).Handler())
 	defer srv.Close()
 
-	resetCaches := func() {
-		frontend.ResetParseCache()
-		vfg.ResetSummaryCache()
-	}
+	resetCaches := frontend.ResetParseCache
 	request := func(body []byte) (int64, error) {
 		t0 := time.Now()
 		resp, err := http.Post(srv.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
@@ -482,9 +488,6 @@ func runAblation(w io.Writer) bool {
 	fmt.Fprintln(w, strings.Repeat("=", 78))
 	ok := true
 	for _, sys := range corpus.All() {
-		// Cache off: the ablation compares the two algorithms' unit
-		// solves; a warm summary cache (e.g. after -table1 in the same
-		// process) would understate the summary-mode count.
 		fast, err := sys.Analyze(core.Options{DisableCache: true})
 		if err != nil {
 			fmt.Fprintf(w, "  %-17s error: %v\n", sys.Name, err)

@@ -82,8 +82,13 @@ func TestSfbenchJSONIncludesDaemonSection(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &rec); err != nil {
 		t.Fatalf("output is not a benchRecord: %v", err)
 	}
-	if rec.SchemaVersion != 4 {
-		t.Errorf("schema_version = %d, want 4", rec.SchemaVersion)
+	if rec.SchemaVersion != 5 {
+		t.Errorf("schema_version = %d, want 5", rec.SchemaVersion)
+	}
+	for _, sys := range rec.Systems {
+		if sys.ReportCacheHitRate != 1 {
+			t.Errorf("%s: warm run report-cache hit rate %v, want 1", sys.Name, sys.ReportCacheHitRate)
+		}
 	}
 	if len(rec.Systems) != 3 || len(rec.Daemon) != 3 {
 		t.Fatalf("systems = %d, daemon rows = %d, want 3 each", len(rec.Systems), len(rec.Daemon))

@@ -17,7 +17,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -86,28 +88,23 @@ type Options struct {
 	// and of phase 3 (callgraph SCCs). 0 means runtime.GOMAXPROCS(0);
 	// 1 runs sequentially. Reports are byte-identical at every setting.
 	Workers int
-	// CacheKey enables the phase-3 summary cache across repeated analyses
-	// of identical input. AnalyzeSources derives it from the source
-	// contents and options when empty; direct AnalyzeModule callers must
-	// set it themselves (it must fingerprint the module contents) or leave
-	// it empty to disable caching.
-	CacheKey string
-	// DisableCache turns the summary cache off entirely (cold-run
-	// benchmarks, memory-constrained batch runs).
+	// DisableCache bypasses the report cache: the run neither looks up
+	// nor stores a finished report in DiskCache (cold-run benchmarks).
 	DisableCache bool
 	// DisableParseCache turns the frontend's content-keyed parse cache
 	// off, forcing every translation unit through lex + parse even when
 	// its preprocessed contents are unchanged from a prior run.
 	DisableParseCache bool
-	// DiskCache, when non-nil, adds a persistent content-addressed tier
-	// below both in-memory caches: parsed ASTs (parse cache) and
-	// converged module summaries (vfg cache) are written to the store and
-	// read back across process restarts, so CLI warm starts and daemon
-	// workers skip work a previous process already did. Every entry is
-	// integrity-checked on read; a damaged entry is evicted and
-	// recomputed (cache_corrupt_evictions), never trusted. Degraded runs
-	// keep the existing contract: they neither seed from nor store to the
-	// summary tier.
+	// DiskCache, when non-nil, is the persistent content-addressed store
+	// behind two caches: the frontend's parsed ASTs, and finished reports.
+	// AnalyzeSources fingerprints the sources the preprocessor reads and
+	// the options that change a report, and on a hit returns the stored
+	// report without running the pipeline (see reportcache.go), so the
+	// sources must not change while the call runs. Only complete verdicts
+	// are stored: never a degraded, crashed, cancelled or session run. Every entry is integrity-checked on read; a damaged
+	// entry is evicted and recomputed (cache_corrupt_evictions), never
+	// trusted. Without a DiskCache nothing is cached across runs except
+	// the in-memory parse cache.
 	DiskCache diskcache.CacheBackend
 	// Stats collects run metrics (per-phase wall times, pipeline shape
 	// counters, cache hit rates, peak goroutines) into Report.Metrics,
@@ -118,7 +115,7 @@ type Options struct {
 	// default simplex-shm policy and renders reports byte-identically to
 	// builds that predate configurable policies; a non-nil policy adds
 	// per-rule attribution to the text and JSON reports. The policy's
-	// name and fingerprint join the summary-cache key, so two policies
+	// name and fingerprint join the report-cache key, so two policies
 	// never share cache entries.
 	Policy *policy.Compiled
 	// Recover enables graceful degradation: translation units that fail
@@ -140,7 +137,10 @@ type Options struct {
 
 // Report is the complete analysis output for one system.
 type Report struct {
-	Name    string
+	Name string
+	// Module is the compiled IR the verdicts were computed on. It is nil
+	// on a report-cache hit (Metrics.ReportCacheHits == 1), which never
+	// compiles the sources; a run without a DiskCache always sets it.
 	Module  *ir.Module
 	Regions []*shmflow.Region
 
@@ -206,6 +206,10 @@ type Report struct {
 	// UnitsAnalyzed is the number of (function, context) solves phase 3
 	// performed (the A-2 ablation metric).
 	UnitsAnalyzed int
+
+	// sccs is phase 3's callgraph SCC count, kept so a report-cache hit
+	// reports the same metrics shape as the run that stored it.
+	sccs int
 
 	// Raw (pre-suppression) findings, captured the first time
 	// finishReport runs so re-application — session fast paths re-run it
@@ -276,12 +280,24 @@ func AnalyzeSources(name string, sources cpp.Source, cFiles []string, opts Optio
 // between analysis units (phase-3 SCC waves) and returns ctx.Err().
 // Every phase runs panic-isolated — a crash is converted into a
 // *guard.InternalError in Report.Internal instead of unwinding the
-// caller, so one bad system in a batch fails alone.
+// caller, so one bad system in a batch fails alone. With a DiskCache,
+// a repeat of an earlier complete run is served from the report cache.
 func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source, cFiles []string, opts Options) (*Report, error) {
 	var col *metrics.Collector
 	if opts.Stats {
 		col = metrics.NewCollector()
 		col.SetTranslationUnits(len(cFiles))
+	}
+
+	cached := opts.DiskCache != nil && !opts.DisableCache && opts.incrOpts == nil
+	var fingerprint [sha256.Size]byte
+	if cached {
+		fingerprint = fingerprintSources(name, sources, cFiles, opts)
+		if rep := lookupReport(opts.DiskCache, fingerprint, col); rep != nil {
+			hitMetrics(col, rep)
+			rep.Metrics = col.Finish()
+			return rep, nil
+		}
 	}
 
 	var (
@@ -328,17 +344,10 @@ func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source,
 	}
 	degraded := len(diags) > 0
 	if degraded {
-		// A degraded module must never publish to (or seed from) the
-		// summary cache: its fingerprint describes the full source set,
-		// not the surviving subset.
-		opts.DisableCache = true
-		opts.CacheKey = ""
-		// And it must not be analyzed incrementally either: skipped-def
-		// summaries are conservative placeholders and are never reused.
+		// A degraded module must not be analyzed incrementally:
+		// skipped-def summaries are conservative placeholders and are
+		// never reused.
 		opts.incrOpts = nil
-	}
-	if opts.CacheKey == "" && !opts.DisableCache {
-		opts.CacheKey = fingerprintSources(name, sources, cFiles, opts)
 	}
 	rep, err := analyzeModuleWith(ctx, name, res, opts, col, missing)
 	if err != nil {
@@ -349,6 +358,11 @@ func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source,
 	rep.LinesOfCode, rep.AnnotationLines = countSourceStats(sources, cFiles)
 	rep.finishReport(activePolicy(opts), scanSourceSuppressions(sources, cFiles))
 	rep.Metrics = col.Finish()
+	// The fingerprint describes the full source set, so only a complete
+	// verdict may be stored under it.
+	if cached && !rep.Degraded && len(rep.Internal) == 0 && ctx.Err() == nil {
+		storeReport(opts.DiskCache, fingerprint, rep)
+	}
 	return rep, nil
 }
 
@@ -444,9 +458,6 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		return nil, ctx.Err()
 	}
 
-	if opts.DisableCache {
-		opts.CacheKey = ""
-	}
 	var roots []*ir.Function
 	var rootErrs []error
 	for _, r := range opts.Roots {
@@ -475,8 +486,6 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 			Roots:       roots,
 			Exponential: opts.Exponential,
 			Workers:     opts.Workers,
-			CacheKey:    opts.CacheKey,
-			DiskCache:   opts.DiskCache,
 			Ctx:         ctx,
 			Metrics:     col,
 			MissingDefs: missing,
@@ -495,7 +504,8 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		return nil, ctx.Err()
 	}
 	rep.Internal = append(rep.Internal, v.Internal...)
-	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed, v.CacheHits, v.CacheMisses)
+	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed)
+	rep.sccs = v.SCCs
 	rep.incrState = v.NextIncr
 	rep.incrStats = v.Incr
 	if v.Incr != nil {
@@ -555,23 +565,31 @@ func callsInitCheck(f *ir.Function) bool {
 	return false
 }
 
-// fingerprintSources derives a summary-cache key covering every analysis
-// input: the source files reachable through quoted includes (same
-// traversal as countSourceStats), the macro defines, and the options that
-// change phase-3 results. Two analyses with equal fingerprints see
-// identical modules, which is what the vfg cache's soundness relies on.
-func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts Options) string {
+// fingerprintSources derives the report-cache key: every input a
+// report depends on. That is the translation-unit list, every file the
+// preprocessor can read from it (cpp.Walk follows the same include
+// directives cpp.Expand does), the macro defines, and the options that
+// change a report — system name, alias mode, exponential mode, roots
+// and policy. Two analyses with equal fingerprints produce identical
+// reports, which is what serving a stored report relies on.
+func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts Options) [sha256.Size]byte {
+	// Every group is prefixed with its length and every part with its
+	// byte length, so no two different inputs hash the same stream.
 	h := sha256.New()
+	var num []byte
+	putLen := func(n int) {
+		num = strconv.AppendInt(num[:0], int64(n), 10)
+		h.Write(append(num, ':'))
+	}
 	put := func(parts ...string) {
+		putLen(len(parts))
 		for _, p := range parts {
-			fmt.Fprintf(h, "%d:%s;", len(p), p)
+			putLen(len(p))
+			io.WriteString(h, p)
 		}
 	}
-	put("v2", name)
+	put("v3", name)
 	put(fmt.Sprintf("mode=%d exp=%v", opts.PointsTo, opts.Exponential))
-	// The policy changes phase-3 seeding, sink checking and rule
-	// attribution, all of which are encoded in cached summaries: fold its
-	// identity in so differing policies never share entries at any tier.
 	pol := activePolicy(opts)
 	put("policy="+pol.Name, pol.Fingerprint())
 	put(opts.Roots...)
@@ -581,74 +599,35 @@ func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts O
 	}
 	sort.Strings(defs)
 	put(defs...)
-
-	seen := make(map[string]bool)
-	var visit func(file string)
-	visit = func(file string) {
-		if seen[file] {
-			return
-		}
-		seen[file] = true
-		text, err := sources.ReadFile(file)
+	put(cFiles...)
+	cpp.Walk(sources, cFiles, func(file, text string, err error) {
 		if err != nil {
 			put(file, "<unreadable>")
 			return
 		}
 		put(file, text)
-		for _, line := range strings.Split(text, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if !strings.HasPrefix(trimmed, "#include") {
-				continue
-			}
-			if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-				rest := trimmed[i+1:]
-				if j := strings.IndexByte(rest, '"'); j > 0 {
-					visit(rest[:j])
-				}
-			}
-		}
-	}
-	for _, f := range cFiles {
-		visit(f)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	})
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	return key
 }
 
 // countSourceStats counts non-blank lines and annotation comments across
 // the program's files (headers included once each).
 func countSourceStats(sources cpp.Source, cFiles []string) (loc, annots int) {
-	seen := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		text, err := sources.ReadFile(name)
+	cpp.Walk(sources, cFiles, func(_, text string, err error) {
 		if err != nil {
 			return
 		}
 		for _, line := range strings.Split(text, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if trimmed != "" {
+			if strings.TrimSpace(line) != "" {
 				loc++
 			}
 			if strings.Contains(line, "SafeFlow Annotation") {
 				annots++
 			}
-			if strings.HasPrefix(trimmed, "#include") {
-				if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-					rest := trimmed[i+1:]
-					if j := strings.IndexByte(rest, '"'); j > 0 {
-						visit(rest[:j])
-					}
-				}
-			}
 		}
-	}
-	for _, f := range cFiles {
-		visit(f)
-	}
+	})
 	return loc, annots
 }
 
@@ -663,38 +642,15 @@ func activePolicy(opts Options) *policy.Compiled {
 }
 
 // scanSourceSuppressions collects inline safeflow:ignore directives from
-// every file reachable through quoted includes (same traversal as
+// every file of the program (the same cpp.Walk traversal as
 // countSourceStats, so the scan sees exactly the analyzed program).
 func scanSourceSuppressions(sources cpp.Source, cFiles []string) []policy.Suppression {
 	var out []policy.Suppression
-	seen := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
-		if seen[name] {
-			return
+	cpp.Walk(sources, cFiles, func(file, text string, err error) {
+		if err == nil {
+			out = append(out, policy.ScanSuppressions(file, text)...)
 		}
-		seen[name] = true
-		text, err := sources.ReadFile(name)
-		if err != nil {
-			return
-		}
-		out = append(out, policy.ScanSuppressions(name, text)...)
-		for _, line := range strings.Split(text, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if !strings.HasPrefix(trimmed, "#include") {
-				continue
-			}
-			if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-				rest := trimmed[i+1:]
-				if j := strings.IndexByte(rest, '"'); j > 0 {
-					visit(rest[:j])
-				}
-			}
-		}
-	}
-	for _, f := range cFiles {
-		visit(f)
-	}
+	})
 	return out
 }
 

@@ -1,10 +1,10 @@
 package core_test
 
 // Determinism under concurrency: the parallel pipeline (frontend workers,
-// phase-3 SCC scheduling, summary-cache warm starts) must never change a
-// report. Each corpus system is analyzed repeatedly at several worker
-// counts, with the cache cold and warm, and every rendered report — text
-// and JSON — must be byte-identical to the first.
+// phase-3 SCC scheduling, report-cache hits) must never change a report.
+// Each corpus system is analyzed repeatedly at several worker counts,
+// with and without a disk cache, and every rendered report — text and
+// JSON — must be byte-identical to the first.
 
 import (
 	"runtime"
@@ -13,6 +13,7 @@ import (
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
+	"safeflow/internal/diskcache"
 	"safeflow/internal/report"
 )
 
@@ -28,21 +29,35 @@ func renderBoth(t *testing.T, rep *core.Report) (string, string) {
 	return text.String(), js.String()
 }
 
+// cachedOdd returns options for run i: odd runs go through a disk cache
+// (the first of them stores the report, the rest are served from it), so
+// the pipeline and the report-cache hit path are both exercised.
+func cachedOdd(dc *diskcache.Store, i int, opts core.Options) core.Options {
+	if i%2 == 1 {
+		opts.DiskCache = dc
+	}
+	return opts
+}
+
+func openStore(t *testing.T) *diskcache.Store {
+	t.Helper()
+	dc, err := diskcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dc
+}
+
 func TestDeterministicReports(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, sys := range corpus.All() {
 		t.Run(sys.Name, func(t *testing.T) {
+			dc := openStore(t)
 			var wantText, wantJSON string
 			run := 0
 			for _, workers := range workerCounts {
 				for i := 0; i < determinismRuns; i++ {
-					// Odd runs disable the summary cache so both the cold
-					// and the warm phase-3 paths are exercised; either way
-					// the bytes must not move.
-					rep, err := sys.Analyze(core.Options{
-						Workers:      workers,
-						DisableCache: i%2 == 1,
-					})
+					rep, err := sys.Analyze(cachedOdd(dc, i, core.Options{Workers: workers}))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -77,15 +92,12 @@ func TestDeterministicReportsWithMetrics(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, sys := range corpus.All() {
 		t.Run(sys.Name, func(t *testing.T) {
+			dc := openStore(t)
 			var wantText, wantJSON string
 			run := 0
 			for _, workers := range workerCounts {
 				for i := 0; i < determinismRuns/2; i++ {
-					rep, err := sys.Analyze(core.Options{
-						Workers:      workers,
-						Stats:        true,
-						DisableCache: i%2 == 1,
-					})
+					rep, err := sys.Analyze(cachedOdd(dc, i, core.Options{Workers: workers, Stats: true}))
 					if err != nil {
 						t.Fatal(err)
 					}

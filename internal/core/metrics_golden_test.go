@@ -18,6 +18,7 @@ import (
 
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
+	"safeflow/internal/diskcache"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -84,15 +85,23 @@ func TestMetricsGolden(t *testing.T) {
 
 // TestMetricsCanonicalStable pins the Canonicalize contract the
 // determinism layer depends on: runs at different worker counts and
-// cache temperatures canonicalize to identical bytes.
+// cache states — no cache, a cold disk cache, a report-cache hit —
+// canonicalize to identical bytes.
 func TestMetricsCanonicalStable(t *testing.T) {
+	dc, err := diskcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var first []byte
 	for i, opts := range []core.Options{
-		{Workers: 1, DisableCache: true},
-		{Workers: 2},
-		{Workers: runtime.GOMAXPROCS(0)}, // warm cache by now
+		{Workers: 1},
+		{Workers: 2, DiskCache: dc}, // cold: stores the report
+		{Workers: runtime.GOMAXPROCS(0), DiskCache: dc}, // served from the report cache
 	} {
 		m := analyzeIPWithStats(t, opts).Metrics
+		if hit := m.ReportCacheHits == 1; hit != (i == 2) {
+			t.Fatalf("run %d: report-cache hit = %v", i, hit)
+		}
 		m.Canonicalize()
 		got, err := json.Marshal(m)
 		if err != nil {
@@ -103,8 +112,8 @@ func TestMetricsCanonicalStable(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, first) {
-			t.Errorf("run %d (workers=%d cache=%v): canonical metrics diverged:\n got %s\nwant %s",
-				i, opts.Workers, !opts.DisableCache, got, first)
+			t.Errorf("run %d (workers=%d disk cache=%v): canonical metrics diverged:\n got %s\nwant %s",
+				i, opts.Workers, opts.DiskCache != nil, got, first)
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"safeflow/internal/diskcache"
 	"safeflow/internal/policy"
 	"safeflow/internal/remotecache"
-	"safeflow/internal/vfg"
 )
 
 // credSrc carries a credential from getpass straight into the log — one
@@ -50,7 +49,7 @@ func analyzeCred(t *testing.T, src string, opts Options) *Report {
 // TestPolicyFingerprintDistinct pins that differing policies produce
 // differing source fingerprints (and therefore cache keys), while the
 // nil policy and the explicit default share one — they analyze
-// identically, so sharing summaries is sound and wanted.
+// identically, so sharing a stored report is sound and wanted.
 func TestPolicyFingerprintDistinct(t *testing.T) {
 	src := cpp.MapSource{"main.c": credSrc}
 	files := []string{"main.c"}
@@ -59,31 +58,36 @@ func TestPolicyFingerprintDistinct(t *testing.T) {
 	cred := fingerprintSources("s", src, files, Options{Policy: mustBuiltin(t, "credential-leak")})
 	pii := fingerprintSources("s", src, files, Options{Policy: mustBuiltin(t, "pii-to-log")})
 	if base != def {
-		t.Errorf("nil policy and explicit default must share a cache key: %s vs %s", base, def)
+		t.Errorf("nil policy and explicit default must share a cache key: %x vs %x", base, def)
 	}
 	if base == cred || base == pii || cred == pii {
-		t.Errorf("distinct policies share a cache key: default=%s cred=%s pii=%s", base, cred, pii)
+		t.Errorf("distinct policies share a cache key: default=%x cred=%x pii=%x", base, cred, pii)
 	}
 }
 
 // TestPolicyCacheIsolationMemory runs the same system under two
-// policies and asserts the in-memory summary cache holds two separate
-// entries — neither run saw the other's summaries.
+// policies over one in-memory cache backend and asserts it holds two
+// separate report entries — neither run was served the other's report —
+// and that each policy's repeat is a hit on its own entry.
 func TestPolicyCacheIsolationMemory(t *testing.T) {
-	vfg.ResetSummaryCache()
-	t.Cleanup(vfg.ResetSummaryCache)
-	rep := analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, "credential-leak")})
-	if len(rep.ErrorsData) != 1 {
-		t.Fatalf("credential-leak: got %d errors, want 1", len(rep.ErrorsData))
+	mc := newMemCache()
+	run := func(pol string, wantErrs int, wantHit bool) {
+		t.Helper()
+		rep := analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, pol), DiskCache: mc, Stats: true})
+		if len(rep.ErrorsData) != wantErrs {
+			t.Fatalf("%s: got %d errors, want %d", pol, len(rep.ErrorsData), wantErrs)
+		}
+		if hit := rep.Metrics.ReportCacheHits == 1; hit != wantHit {
+			t.Fatalf("%s: report-cache hit = %v, want %v", pol, hit, wantHit)
+		}
 	}
-	rep = analyzeCred(t, credSrc, Options{Policy: mustBuiltin(t, "pii-to-log")})
-	if len(rep.ErrorsData) != 0 {
-		t.Fatalf("pii-to-log: got %d errors, want 0", len(rep.ErrorsData))
+	run("credential-leak", 1, false)
+	run("pii-to-log", 0, false)
+	if n := mc.len(reportNS); n != 2 {
+		t.Fatalf("report namespace holds %d entries, want 2 (one per policy)", n)
 	}
-	keys := vfg.SummaryCacheKeys()
-	if len(keys) != 2 {
-		t.Fatalf("summary cache holds %d keys, want 2 (one per policy): %v", len(keys), keys)
-	}
+	run("credential-leak", 1, true)
+	run("pii-to-log", 0, true)
 }
 
 // recordingCache is a CacheBackend that remembers every key written.
@@ -105,30 +109,27 @@ func (r *recordingCache) Put(ns string, version uint32, key [sha256.Size]byte, d
 	r.puts[ns] = append(r.puts[ns], key)
 }
 
-func (r *recordingCache) summaryKeys() map[[sha256.Size]byte]bool {
+func (r *recordingCache) reportKeys() map[[sha256.Size]byte]bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[[sha256.Size]byte]bool)
-	for _, k := range r.puts["summary"] {
+	for _, k := range r.puts[reportNS] {
 		out[k] = true
 	}
 	return out
 }
 
 // TestPolicyCacheIsolationDisk asserts the disk tier writes disjoint
-// summary keys for runs differing only in policy.
+// report keys for runs differing only in policy.
 func TestPolicyCacheIsolationDisk(t *testing.T) {
-	vfg.ResetSummaryCache()
-	t.Cleanup(vfg.ResetSummaryCache)
 	var _ diskcache.CacheBackend = (*recordingCache)(nil)
 
 	run := func(pol *policy.Compiled) map[[sha256.Size]byte]bool {
-		vfg.ResetSummaryCache()
 		rc := &recordingCache{}
 		analyzeCred(t, credSrc, Options{Policy: pol, DiskCache: rc})
-		keys := rc.summaryKeys()
+		keys := rc.reportKeys()
 		if len(keys) == 0 {
-			t.Fatal("no summary keys written to the disk tier")
+			t.Fatal("no report keys written to the disk tier")
 		}
 		return keys
 	}
@@ -145,9 +146,6 @@ func TestPolicyCacheIsolationDisk(t *testing.T) {
 // recording HTTP server and asserts the two policies touch disjoint
 // entry URLs.
 func TestPolicyCacheIsolationRemote(t *testing.T) {
-	vfg.ResetSummaryCache()
-	t.Cleanup(vfg.ResetSummaryCache)
-
 	var mu sync.Mutex
 	paths := make(map[string]map[string]bool) // run label -> URL path set
 	var label string
@@ -171,7 +169,6 @@ func TestPolicyCacheIsolationRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(l string, pol *policy.Compiled) {
-		vfg.ResetSummaryCache()
 		mu.Lock()
 		label = l
 		mu.Unlock()

@@ -78,10 +78,8 @@ func OpenSession(ctx context.Context, name string, sources map[string]string, cF
 	for k, v := range sources {
 		s.sources[k] = v
 	}
-	// Incremental mode and the summary cache are mutually exclusive (a
-	// session replays its own records instead).
+	// A session replays its own records instead of the report cache.
 	s.opts.DisableCache = true
-	s.opts.CacheKey = ""
 	fopts := frontend.Options{
 		Defines:           s.opts.Defines,
 		Workers:           s.opts.Workers,
@@ -171,16 +169,11 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			// mirror a full run's metric shape — phase list and SCC count
 			// survive canonicalization and must match a fresh analysis.
 			s.fragOK = true
-			for _, ph := range []string{"shmflow", "restrict", "pointsto", "vfg"} {
-				col.Phase(ph)()
+			for _, ph := range pipelinePhases[1:] {
+				col.SkipPhase(ph)
 			}
-			reused := len(hashes)
-			if col != nil {
-				if m := s.last.Metrics; m != nil {
-					col.SetPhase3(m.SCCs, 0, 0, 0, 0)
-				}
-				col.SetIncremental(0, reused, 0, 0)
-			}
+			col.SetPhase3(s.last.sccs, 0, 0)
+			col.SetIncremental(0, len(hashes), 0, 0)
 			rep := *s.last
 			rep.LinesOfCode, rep.AnnotationLines = s.countStats()
 			// Comment-only edits can move safeflow:ignore directives
@@ -189,7 +182,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			// from-scratch run.
 			rep.finishReport(activePolicy(s.opts), scanSourceSuppressions(src, s.cFiles))
 			rep.Metrics = col.Finish()
-			return &rep, UpdateStats{Incremental: true, FuncsReused: reused}, nil
+			return &rep, UpdateStats{Incremental: true, FuncsReused: len(hashes)}, nil
 		}
 		if ok {
 			s.fragOK = true

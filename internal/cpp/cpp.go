@@ -251,6 +251,55 @@ func (p *Preprocessor) processFile(name, text string) {
 	}
 }
 
+// Includes returns the targets of the quoted #include directives in
+// text, in directive order, parsed exactly as Expand parses them
+// ("# include", backslash-continued lines). Conditionals are not
+// evaluated, so the result covers every file an expansion of text could
+// read under any set of defines.
+func Includes(text string) []string {
+	var out []string
+	eachLine(text, func(_ int, line string) {
+		trimmed := strings.TrimSpace(line)
+		if !strings.HasPrefix(trimmed, "#") {
+			return
+		}
+		word, rest := splitWord(strings.TrimSpace(trimmed[1:]))
+		if word != "include" || strings.HasPrefix(rest, "<") {
+			return
+		}
+		if target, ok := parseIncludeTarget(rest); ok {
+			out = append(out, target)
+		}
+	})
+	return out
+}
+
+// Walk visits every file reachable from roots through quoted includes
+// (see Includes) exactly once, depth-first in directive order. visit
+// receives the file's text, or the error reading it; an unreadable
+// file's includes are not followed.
+func Walk(src Source, roots []string, visit func(name, text string, err error)) {
+	seen := make(map[string]bool)
+	var walk func(name string)
+	walk = func(name string) {
+		if seen[name] {
+			return
+		}
+		seen[name] = true
+		text, err := src.ReadFile(name)
+		visit(name, text, err)
+		if err != nil {
+			return
+		}
+		for _, inc := range Includes(text) {
+			walk(inc)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+}
+
 func guardNameIf(isIfndef bool, name string) string {
 	if isIfndef {
 		return name
@@ -267,18 +316,36 @@ type numberedLine struct {
 // continuations while preserving the starting line number of each joined
 // line.
 func splitLinesJoinContinuations(text string) []numberedLine {
-	raw := strings.Split(text, "\n")
 	var out []numberedLine
-	for i := 0; i < len(raw); i++ {
-		start := i
-		line := strings.TrimSuffix(raw[i], "\r")
-		for strings.HasSuffix(line, "\\") && i+1 < len(raw) {
-			i++
-			line = strings.TrimSuffix(line, "\\") + strings.TrimSuffix(raw[i], "\r")
-		}
-		out = append(out, numberedLine{num: start + 1, text: line})
-	}
+	eachLine(text, func(num int, line string) {
+		out = append(out, numberedLine{num: num, text: line})
+	})
 	return out
+}
+
+// eachLine calls fn for every line of text (split at "\n", as
+// strings.Split does) with backslash continuations joined, passing the
+// number of the line's first physical line. Only joined lines allocate.
+func eachLine(text string, fn func(num int, line string)) {
+	rest, more := text, true
+	next := func() string {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			more = false
+		}
+		return strings.TrimSuffix(line, "\r")
+	}
+	for num := 1; more; num++ {
+		start := num
+		line := next()
+		for strings.HasSuffix(line, "\\") && more {
+			num++
+			line = strings.TrimSuffix(line, "\\") + next()
+		}
+		fn(start, line)
+	}
 }
 
 func splitWord(s string) (word, rest string) {

@@ -202,3 +202,54 @@ func TestLineCommentNotSubstituted(t *testing.T) {
 		t.Errorf("code not substituted:\n%s", out)
 	}
 }
+
+// TestIncludesMatchesExpand pins that Includes finds every quoted
+// include Expand reads, however the directive is spelled, and only
+// those: system headers and non-include directives are skipped, while
+// includes in inactive conditional branches are kept (a superset is
+// what cache keys need).
+func TestIncludesMatchesExpand(t *testing.T) {
+	text := "#include \"a.h\"\n" +
+		"# include \"b.h\"\n" +
+		"#\tinclude\t\"c.h\"\n" +
+		"#include \\\n\"d.h\"\n" +
+		"#include <stdio.h>\n" +
+		"#if 0\n#include \"e.h\"\n#endif\n" +
+		"#define INCLUDE \"f.h\"\n" +
+		"int include_me;\n"
+	got := strings.Join(Includes(text), ",")
+	if want := "a.h,b.h,c.h,d.h,e.h"; got != want {
+		t.Fatalf("Includes = %s, want %s", got, want)
+	}
+	sources := map[string]string{"main.c": text}
+	for _, h := range []string{"a.h", "b.h", "c.h", "d.h", "e.h"} {
+		sources[h] = "int in_" + strings.TrimSuffix(h, ".h") + ";\n"
+	}
+	out := expand(t, sources, "main.c")
+	for _, h := range []string{"a", "b", "c", "d"} {
+		if !strings.Contains(out, "int in_"+h+";") {
+			t.Errorf("Expand did not read %s.h:\n%s", h, out)
+		}
+	}
+}
+
+// TestWalkVisitsEachFileOnce pins Walk's order and its handling of
+// shared, cyclic and unreadable includes.
+func TestWalkVisitsEachFileOnce(t *testing.T) {
+	src := MapSource{
+		"a.c":      "#include \"common.h\"\n#include \"missing.h\"\n",
+		"b.c":      "# include \"common.h\"\n#include \"b.h\"\n",
+		"common.h": "#include \"a.c\"\n",
+		"b.h":      "",
+	}
+	var visited []string
+	Walk(src, []string{"a.c", "b.c"}, func(name, _ string, err error) {
+		if err != nil {
+			name += "!"
+		}
+		visited = append(visited, name)
+	})
+	if got, want := strings.Join(visited, ","), "a.c,common.h,missing.h!,b.c,b.h"; got != want {
+		t.Fatalf("Walk visited %s, want %s", got, want)
+	}
+}

@@ -1,8 +1,9 @@
 // Package daemon implements safeflowd, the long-running SafeFlow
 // analysis service: the full pipeline behind POST /v1/analyze, kept hot
-// by the in-memory caches and the persistent disk cache shared with the
-// CLI. One daemon process amortizes parse and summary work across every
-// request — and across its own restarts — the way the cold CLI cannot.
+// by the in-memory parse cache and the persistent disk cache shared with
+// the CLI. One daemon process amortizes parse work across every request,
+// and serves a repeated request from the report cache — across its own
+// restarts too — the way the cold CLI cannot.
 //
 // The service preserves the pipeline's two hard contracts (DESIGN.md
 // §7): byte determinism — the JSON body returned for a request is
@@ -180,8 +181,8 @@ type Metrics struct {
 	// Aggregated run-metrics counters summed over completed analyses.
 	TranslationUnits      int64 `json:"translation_units"`
 	UnitsSolved           int64 `json:"units_solved"`
-	CacheHits             int64 `json:"cache_hits"`
-	CacheMisses           int64 `json:"cache_misses"`
+	ReportCacheHits       int64 `json:"report_cache_hits"`
+	ReportCacheMisses     int64 `json:"report_cache_misses"`
 	FrontendCacheHits     int64 `json:"frontend_cache_hits"`
 	FrontendCacheMisses   int64 `json:"frontend_cache_misses"`
 	DiskCacheHits         int64 `json:"disk_cache_hits"`
@@ -628,8 +629,8 @@ func (s *Server) aggregate(rm *metrics.RunMetrics) {
 	s.count(func(m *Metrics) {
 		m.TranslationUnits += int64(rm.TranslationUnits)
 		m.UnitsSolved += int64(rm.UnitsSolved)
-		m.CacheHits += int64(rm.CacheHits)
-		m.CacheMisses += int64(rm.CacheMisses)
+		m.ReportCacheHits += int64(rm.ReportCacheHits)
+		m.ReportCacheMisses += int64(rm.ReportCacheMisses)
 		m.FrontendCacheHits += int64(rm.FrontendCacheHits)
 		m.FrontendCacheMisses += int64(rm.FrontendCacheMisses)
 		m.DiskCacheHits += int64(rm.DiskCacheHits)

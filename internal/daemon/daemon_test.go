@@ -23,13 +23,13 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 )
 
+// resetMemoryCaches empties the in-memory parse cache, so only the disk
+// tier survives, as across a daemon restart.
 func resetMemoryCaches() {
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
 }
 
 func figure2(t *testing.T) string {
@@ -65,6 +65,21 @@ func postAnalyze(t *testing.T, url string, req AnalyzeRequest) (*http.Response, 
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// metricsz fetches and decodes the daemon's /metricsz counters.
+func metricsz(t *testing.T, url string) Metrics {
+	t.Helper()
+	resp, err := http.Get(url + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // cliJSON renders the report exactly as `safeflow -json` would.
@@ -211,11 +226,11 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 	req := AnalyzeRequest{Name: "figure2", Sources: sources}
 
 	_, want := postAnalyze(t, ts.URL, req)
-	if dc.Len("parse") == 0 || dc.Len("summary") == 0 {
-		t.Fatalf("no disk entries after first request: parse=%d summary=%d",
-			dc.Len("parse"), dc.Len("summary"))
+	if dc.Len("parse") == 0 || dc.Len("report") == 0 {
+		t.Fatalf("no disk entries after first request: parse=%d report=%d",
+			dc.Len("parse"), dc.Len("report"))
 	}
-	if n := dc.Corrupt("parse", 100) + dc.Corrupt("summary", 100); n == 0 {
+	if n := dc.Corrupt("parse", 100) + dc.Corrupt("report", 100); n == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}
 	resetMemoryCaches() // force the daemon back onto the (damaged) disk tier
@@ -229,17 +244,22 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 	}
 
 	// The evictions must surface in the daemon's aggregated metrics.
-	mresp, err := http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := metricsz(t, ts.URL)
 	if m.CacheCorruptEvictions == 0 {
 		t.Error("corrupted entries not surfaced in /metricsz cache_corrupt_evictions")
+	}
+	if m.ReportCacheHits != 0 || m.ReportCacheMisses != 2 {
+		t.Errorf("report_cache_hits/misses = %d/%d, want 0/2 (the damaged entry must not be served)",
+			m.ReportCacheHits, m.ReportCacheMisses)
+	}
+
+	// The recomputed report overwrote the damaged entry: a third request
+	// is served from it, with the same bytes.
+	if _, again := postAnalyze(t, ts.URL, req); !bytes.Equal(again, want) {
+		t.Error("report served from the healed entry differs")
+	}
+	if s := metricsz(t, ts.URL); s.ReportCacheHits != 1 {
+		t.Errorf("report_cache_hits = %d after healing, want 1", s.ReportCacheHits)
 	}
 	if m.RequestsOK != 2 {
 		t.Errorf("requests_ok = %d, want 2", m.RequestsOK)

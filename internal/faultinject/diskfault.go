@@ -21,7 +21,6 @@ import (
 	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
 	"safeflow/internal/report"
-	"safeflow/internal/vfg"
 )
 
 // DiskScenario is one seeded disk-corruption run over a generated
@@ -31,7 +30,7 @@ type DiskScenario struct {
 	Seed    int64            // drives the system generator
 	Gen     corpus.GenConfig // generated-system shape (zero = defaults)
 	Parse   int              // parse-namespace entries to corrupt (clamped)
-	Summary int              // summary-namespace entries to corrupt (clamped)
+	Report  int              // report-namespace entries to corrupt (clamped)
 	Workers int              // pipeline worker count (0 = GOMAXPROCS)
 }
 
@@ -47,8 +46,10 @@ type DiskResult struct {
 
 // RunDisk generates the scenario's system, analyzes it cold through
 // store, corrupts the requested number of entries per namespace, resets
-// the in-memory cache tiers (simulating a process restart, so the next
-// run can only start from disk), and re-analyzes. The JSON strings are
+// the in-memory parse cache (simulating a process restart, so the next
+// run can only start from disk), and re-analyzes. A damaged parse entry
+// is only read when the report entry is damaged too: an intact report
+// entry serves the run without compiling anything. The JSON strings are
 // rendered with metrics canonicalized so callers can compare bytes
 // directly; the live counters — including the healed run's
 // cache_corrupt_evictions — stay intact on Cold.Metrics and
@@ -63,21 +64,19 @@ func RunDisk(ctx context.Context, sc DiskScenario, store *diskcache.Store) (*Dis
 	}
 
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
 	cold, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cold run: %w", err)
 	}
-	if store.Len("parse") == 0 || store.Len("summary") == 0 {
-		return nil, fmt.Errorf("cold run left store empty: parse=%d summary=%d",
-			store.Len("parse"), store.Len("summary"))
+	if store.Len("parse") == 0 || store.Len("report") == 0 {
+		return nil, fmt.Errorf("cold run left store empty: parse=%d report=%d",
+			store.Len("parse"), store.Len("report"))
 	}
 
-	corrupted := store.Corrupt("parse", sc.Parse) + store.Corrupt("summary", sc.Summary)
+	corrupted := store.Corrupt("parse", sc.Parse) + store.Corrupt("report", sc.Report)
 
 	// "Restart": only the (damaged) disk tier survives.
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
 	healed, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("healed run: %w", err)

@@ -6,7 +6,6 @@ import (
 
 	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 )
 
 // The self-healing invariant, end to end: damaging persistent entries
@@ -14,7 +13,6 @@ import (
 // change one byte of the report.
 func TestDiskCorruptionInvariants(t *testing.T) {
 	defer frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
 
 	for _, seed := range []int64{1, 7, 42} {
 		store, err := diskcache.Open(t.TempDir(), 0)
@@ -22,7 +20,7 @@ func TestDiskCorruptionInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := RunDisk(context.Background(), DiskScenario{
-			Seed: seed, Parse: 2, Summary: 2,
+			Seed: seed, Parse: 2, Report: 1,
 		}, store)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -32,6 +30,9 @@ func TestDiskCorruptionInvariants(t *testing.T) {
 		}
 		if res.Healed.Metrics.CacheCorruptEvictions == 0 {
 			t.Errorf("seed %d: corruption not surfaced in cache_corrupt_evictions", seed)
+		}
+		if res.Healed.Metrics.ReportCacheHits != 0 {
+			t.Errorf("seed %d: the damaged report entry was served", seed)
 		}
 		if res.Cold.Metrics.CacheCorruptEvictions != 0 {
 			t.Errorf("seed %d: cold run saw %d corrupt evictions",
@@ -50,14 +51,13 @@ func TestDiskCorruptionInvariants(t *testing.T) {
 // must be fully warm: disk hits, no corrupt evictions.
 func TestDiskCorruptionHealsStore(t *testing.T) {
 	defer frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
 
 	store, err := diskcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, err := RunDisk(context.Background(), DiskScenario{
-		Seed: 3, Parse: 100, Summary: 100,
+		Seed: 3, Parse: 100, Report: 100,
 	}, store)
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
 	"safeflow/internal/diag"
+	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 )
 
 // harnessSeeds is the fixed seed set the CI smoke job runs; every
@@ -141,22 +141,30 @@ func TestDegradedRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// A degraded run must never write to the summary cache: its fingerprint
-// would describe the full source set, not the surviving subset, so a
-// later healthy run could be poisoned by a degraded module's summaries.
-func TestNoSummaryCacheWritesOnFaultedRuns(t *testing.T) {
-	vfg.ResetSummaryCache()
+// openStore opens a fresh disk store for one test.
+func openStore(t *testing.T) *diskcache.Store {
+	t.Helper()
+	store, err := diskcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// A degraded run must never write to the report cache: its fingerprint
+// describes the full source set, not the surviving subset, so a later
+// run of the same sources would be served a degraded module's verdict.
+func TestNoReportCacheWritesOnFaultedRuns(t *testing.T) {
 	frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
 	defer frontend.ResetParseCache()
+	store := openStore(t)
 	for _, seed := range harnessSeeds {
 		sc := Scenario{Seed: seed, Faults: 1}
-		if _, err := Run(context.Background(), sc); err != nil {
+		if _, err := runCached(context.Background(), sc, store); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, sc.Repro())
 		}
-		if n := vfg.SummaryCacheLen(); n != 0 {
-			t.Fatalf("seed %d: faulted run wrote %d summary-cache entries (keys %v)\n%s",
-				seed, n, vfg.SummaryCacheKeys(), sc.Repro())
+		if n := store.Len("report"); n != 0 {
+			t.Fatalf("seed %d: faulted run wrote %d report-cache entries\n%s", seed, n, sc.Repro())
 		}
 	}
 }
@@ -186,17 +194,16 @@ func TestNoParseCacheEntryForFaultedUnit(t *testing.T) {
 }
 
 // Corrupted cache entries self-heal: the entry is evicted, the unit (or
-// module) is recomputed, the eviction shows up in run metrics, and the
+// report) is recomputed, the eviction shows up in run metrics, and the
 // report is unchanged from the healthy warm run.
 func TestCacheCorruptionSelfHeals(t *testing.T) {
-	vfg.ResetSummaryCache()
 	frontend.ResetParseCache()
-	defer vfg.ResetSummaryCache()
 	defer frontend.ResetParseCache()
 
+	store := openStore(t)
 	scen := Scenario{Seed: 42, Stats: true}
 	run := func() (*Result, error) {
-		return Run(context.Background(), scen)
+		return runCached(context.Background(), scen, store)
 	}
 	warm, err := run()
 	if err != nil {
@@ -205,18 +212,17 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if warm.Report.Degraded {
 		t.Fatal("unfaulted scenario reported degraded")
 	}
-	if _, err := run(); err != nil { // populate the summary cache fully
-		t.Fatal(err)
-	}
-	if vfg.SummaryCacheLen() == 0 || frontend.ParseCacheLen() == 0 {
-		t.Fatalf("healthy run did not populate caches (summary=%d parse=%d)",
-			vfg.SummaryCacheLen(), frontend.ParseCacheLen())
+	if store.Len("report") == 0 || frontend.ParseCacheLen() == 0 {
+		t.Fatalf("healthy run did not populate caches (report=%d parse=%d)",
+			store.Len("report"), frontend.ParseCacheLen())
 	}
 
+	// Damage the stored report, so the next run recomputes and reads
+	// the (also damaged) in-memory parse cache.
 	pc := frontend.CorruptParseCache(2)
-	sc := vfg.CorruptSummaryCache(1)
-	if pc == 0 || sc == 0 {
-		t.Fatalf("corruption hooks touched nothing (parse=%d summary=%d)", pc, sc)
+	rc := store.Corrupt("report", 1)
+	if pc == 0 || rc == 0 {
+		t.Fatalf("corruption hooks touched nothing (parse=%d report=%d)", pc, rc)
 	}
 	healed, err := run()
 	if err != nil {
@@ -230,8 +236,11 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if m == nil {
 		t.Fatal("no metrics collected")
 	}
-	if m.CacheCorruptEvictions < pc+sc {
-		t.Errorf("cache_corrupt_evictions = %d, want >= %d", m.CacheCorruptEvictions, pc+sc)
+	if m.CacheCorruptEvictions < pc+rc {
+		t.Errorf("cache_corrupt_evictions = %d, want >= %d", m.CacheCorruptEvictions, pc+rc)
+	}
+	if m.ReportCacheMisses != 1 {
+		t.Errorf("damaged report entry was served: report_cache_misses = %d", m.ReportCacheMisses)
 	}
 }
 
@@ -268,11 +277,10 @@ func TestWorkerPanicIsolation(t *testing.T) {
 
 // Seeded cancellation at randomized pipeline boundaries: the run returns
 // ctx.Err() promptly, leaves no goroutines behind, and never publishes
-// summary-cache entries for the aborted module.
+// a report-cache entry for the aborted run.
 func TestSeededCancellation(t *testing.T) {
 	phases := []string{"frontend", "shmflow", "restrict", "pointsto", "vfg"}
-	vfg.ResetSummaryCache()
-	defer vfg.ResetSummaryCache()
+	store := openStore(t)
 	baseline := runtime.NumGoroutine()
 	for i, seed := range harnessSeeds {
 		phase := phases[(int(seed)+i)%len(phases)]
@@ -283,14 +291,14 @@ func TestSeededCancellation(t *testing.T) {
 				cancel()
 			}
 		})
-		_, err := Run(ctx, sc)
+		_, err := runCached(ctx, sc, store)
 		core.SetPhaseHook(nil)
 		cancel()
 		if err != context.Canceled {
 			t.Errorf("seed %d cancel@%s: err = %v, want context.Canceled\n%s", seed, phase, err, sc.Repro())
 		}
-		if n := vfg.SummaryCacheLen(); n != 0 {
-			t.Errorf("seed %d cancel@%s: cancelled run wrote %d summary entries\n%s", seed, phase, n, sc.Repro())
+		if n := store.Len("report"); n != 0 {
+			t.Errorf("seed %d cancel@%s: cancelled run wrote %d report entries\n%s", seed, phase, n, sc.Repro())
 		}
 	}
 	if err := WaitGoroutineBaseline(baseline, 2*time.Second); err != nil {

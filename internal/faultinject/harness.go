@@ -13,6 +13,7 @@ import (
 	"safeflow/internal/core"
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
+	"safeflow/internal/diskcache"
 	"safeflow/internal/report"
 )
 
@@ -106,12 +107,19 @@ type Result struct {
 // the mutated sources in recovering mode. The analysis itself failing
 // (not just degrading) is returned as an error.
 func Run(ctx context.Context, sc Scenario) (*Result, error) {
+	return runCached(ctx, sc, nil)
+}
+
+// runCached is Run with dc (may be nil) as the analysis's DiskCache, so
+// the invariant tests can watch what a scenario stores or is served.
+func runCached(ctx context.Context, sc Scenario, dc diskcache.CacheBackend) (*Result, error) {
 	gen := corpus.Generate(sc.Seed, sc.Gen)
 	mutated, faults := Mutate(sc.Seed, gen.Sources, EligibleUnits, sc.Faults)
 	rep, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(mutated), gen.CFiles, core.Options{
-		Recover: true,
-		Workers: sc.Workers,
-		Stats:   sc.Stats,
+		Recover:   true,
+		Workers:   sc.Workers,
+		Stats:     sc.Stats,
+		DiskCache: dc,
 	})
 	if err != nil {
 		return nil, err

@@ -25,7 +25,6 @@ import (
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 )
 
 // FaultTransport wraps an http.RoundTripper with seeded, per-request
@@ -155,7 +154,8 @@ type RemoteResult struct {
 // RunRemote generates the scenario's system and analyzes it three
 // times: once with no cache (the reference bytes), once cold through
 // backend (exercising the Put path under faults), and once warm after
-// an in-memory cache reset (exercising the Get path under faults). The
+// a parse-cache reset (exercising the Get path under faults: the warm
+// run is a report-cache hit when the tier answers). The
 // JSON strings are canonicalized for direct byte comparison.
 func RunRemote(ctx context.Context, sc RemoteScenario, backend diskcache.CacheBackend) (*RemoteResult, error) {
 	gen := corpus.Generate(sc.Seed, sc.Gen)
@@ -163,7 +163,6 @@ func RunRemote(ctx context.Context, sc RemoteScenario, backend diskcache.CacheBa
 
 	run := func(dc diskcache.CacheBackend, what string) (*core.Report, error) {
 		frontend.ResetParseCache()
-		vfg.ResetSummaryCache()
 		opts := base
 		opts.DiskCache = dc
 		rep, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)

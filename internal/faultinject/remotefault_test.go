@@ -124,8 +124,8 @@ func TestRemoteTierStillCachesWhenHealthy(t *testing.T) {
 	if res.WarmJSON != res.BaselineJSON {
 		t.Error("warm report diverged")
 	}
-	if res.Warm.Metrics == nil || res.Warm.Metrics.DiskCacheHits == 0 {
-		t.Error("healthy warm run recorded no cache hits through the tiered backend")
+	if res.Warm.Metrics == nil || res.Warm.Metrics.DiskCacheHits == 0 || res.Warm.Metrics.ReportCacheHits != 1 {
+		t.Error("healthy warm run was not a report-cache hit through the tiered backend")
 	}
 	stats := tiered.Snapshot()
 	if stats.RemotePuts == 0 {

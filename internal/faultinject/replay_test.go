@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"safeflow/internal/diag"
-	"safeflow/internal/vfg"
 )
 
 // scenarioFlag selects one scenario for TestReplayScenario — the
@@ -47,14 +46,15 @@ func TestReplayScenario(t *testing.T) {
 // shared by the replay entry point and the seeded harness tests.
 func replayInvariants(t *testing.T, sc Scenario) {
 	t.Helper()
-	vfg.ResetSummaryCache()
-	defer vfg.ResetSummaryCache()
+	// Through a disk store: an unfaulted scenario's later runs are
+	// report-cache hits and must still match the first run's bytes.
+	store := openStore(t)
 
 	var first *Result
 	for _, workers := range []int{sc.Workers, 1, runtime.GOMAXPROCS(0)} {
 		wsc := sc
 		wsc.Workers = workers
-		res, err := Run(context.Background(), wsc)
+		res, err := runCached(context.Background(), wsc, store)
 		if err != nil {
 			t.Fatalf("workers=%d: %v\n%s", workers, err, sc.Repro())
 		}
@@ -82,8 +82,8 @@ func replayInvariants(t *testing.T, sc Scenario) {
 		}
 	}
 	if sc.Faults > 0 {
-		if n := vfg.SummaryCacheLen(); n != 0 {
-			t.Errorf("faulted replay published %d summary-cache entries\n%s", n, sc.Repro())
+		if n := store.Len("report"); n != 0 {
+			t.Errorf("faulted replay published %d report-cache entries\n%s", n, sc.Repro())
 		}
 	}
 	if t.Failed() {

@@ -1,8 +1,9 @@
-// Content-keyed parse cache. Lex + parse dominate warm end-to-end runs
-// (the analysis phases are cached separately by the vfg summary cache), so
-// repeated compilations of unchanged translation units — sfbench
-// iterations, watch-mode workloads, AnalyzeAll batches sharing headers —
-// reuse the parsed AST instead of re-deriving it.
+// Content-keyed parse cache. Lex + parse dominate the frontend of a
+// re-analysis (an unchanged input with a disk cache is served whole by
+// the report cache in internal/core), so repeated compilations of
+// unchanged translation units — sfbench iterations, watch-mode
+// workloads, AnalyzeAll batches sharing headers — reuse the parsed AST
+// instead of re-deriving it.
 //
 // The key is the SHA-256 of the file name and its fully preprocessed text,
 // so any edit to the unit or to a header it includes changes the key (the

@@ -1,7 +1,7 @@
 // The executor: run one input through the analyzer and check the three
 // standing correctness oracles. Every run is configured for
-// reproducibility — recovering mode, both in-memory caches disabled, no
-// disk tier — so an input's verdicts, coverage signature, and any
+// reproducibility — recovering mode, the parse and report caches
+// disabled, no disk tier — so an input's verdicts, coverage signature, and any
 // oracle violation are pure functions of its bytes.
 
 package fuzzcamp

@@ -1,6 +1,6 @@
 // Package metrics instruments SafeFlow analysis runs: per-phase wall
 // times, pipeline shape counters (translation units, SCCs, fixpoint
-// rounds, summaries solved), summary-cache hit rates, and peak goroutine
+// rounds, summaries solved), cache hit rates, and peak goroutine
 // counts. A Collector is threaded through one run; its Finish snapshot is
 // embedded in reports under the versioned "metrics" JSON key.
 //
@@ -18,7 +18,11 @@ import (
 // embedded in every snapshot; consumers must check it before relying on
 // the field set. Bump it whenever a field is removed or changes meaning
 // (additions are backward compatible and do not bump it).
-const SchemaVersion = 1
+//
+// v2 removed the phase-3 summary-cache counters (cache_hits,
+// cache_misses) with the summary cache itself, and added the report
+// cache counters.
+const SchemaVersion = 2
 
 // PhaseMetrics is the timing of one pipeline phase.
 type PhaseMetrics struct {
@@ -39,21 +43,24 @@ type RunMetrics struct {
 	SCCs             int            `json:"sccs"`
 	FixpointRounds   int            `json:"fixpoint_rounds"`
 	UnitsSolved      int            `json:"units_solved"`
-	CacheHits        int            `json:"cache_hits"`
-	CacheMisses      int            `json:"cache_misses"`
-	// Frontend parse-cache counters (omitted from JSON when zero so the
-	// schema stays backward compatible with v1 consumers).
+	// Report-cache counters (omitted from JSON when zero): a run with a
+	// disk cache looks its fingerprint up once, so one of the two is 1.
+	// On a hit no pipeline phase runs: the phases are listed with zero
+	// wall time, and the translation-unit and SCC counts are those of
+	// the run that stored the report.
+	ReportCacheHits   int `json:"report_cache_hits,omitempty"`
+	ReportCacheMisses int `json:"report_cache_misses,omitempty"`
+	// Frontend parse-cache counters (omitted from JSON when zero).
 	FrontendCacheHits   int `json:"frontend_cache_hits,omitempty"`
 	FrontendCacheMisses int `json:"frontend_cache_misses,omitempty"`
 	// Disk-cache tier counters (omitted from JSON when zero): hits and
 	// misses observed against the persistent content-addressed store that
-	// backs the parse and summary caches across process restarts.
+	// backs the parse and report caches across process restarts.
 	DiskCacheHits   int `json:"disk_cache_hits,omitempty"`
 	DiskCacheMisses int `json:"disk_cache_misses,omitempty"`
-	// CacheCorruptEvictions counts cache entries (parse, summary, or
-	// disk) whose integrity check failed on load: each was evicted and
-	// recomputed instead of poisoning the run. Omitted from JSON when
-	// zero.
+	// CacheCorruptEvictions counts cache entries (parse or report) whose
+	// integrity check failed on load: each was evicted and recomputed
+	// instead of poisoning the run. Omitted from JSON when zero.
 	CacheCorruptEvictions int `json:"cache_corrupt_evictions,omitempty"`
 	// Incremental re-analysis counters (set only on session updates;
 	// omitted from JSON when zero): how many functions the dependency
@@ -84,8 +91,8 @@ func (m *RunMetrics) Canonicalize() {
 	}
 	m.FixpointRounds = 0
 	m.UnitsSolved = 0
-	m.CacheHits = 0
-	m.CacheMisses = 0
+	m.ReportCacheHits = 0
+	m.ReportCacheMisses = 0
 	m.FrontendCacheHits = 0
 	m.FrontendCacheMisses = 0
 	m.DiskCacheHits = 0
@@ -132,6 +139,17 @@ func (c *Collector) Phase(name string) (done func()) {
 	}
 }
 
+// SkipPhase records a phase that did not run, with zero wall time: a
+// report-cache hit lists the phases of the run that stored the report.
+func (c *Collector) SkipPhase(name string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.m.Phases = append(c.m.Phases, PhaseMetrics{Name: name})
+	c.mu.Unlock()
+}
+
 // SetTranslationUnits records the number of translation units compiled.
 func (c *Collector) SetTranslationUnits(n int) {
 	if c == nil {
@@ -143,7 +161,7 @@ func (c *Collector) SetTranslationUnits(n int) {
 }
 
 // SetPhase3 records the value-flow phase's shape counters.
-func (c *Collector) SetPhase3(sccs, rounds, unitsSolved, cacheHits, cacheMisses int) {
+func (c *Collector) SetPhase3(sccs, rounds, unitsSolved int) {
 	if c == nil {
 		return
 	}
@@ -151,8 +169,17 @@ func (c *Collector) SetPhase3(sccs, rounds, unitsSolved, cacheHits, cacheMisses 
 	c.m.SCCs = sccs
 	c.m.FixpointRounds = rounds
 	c.m.UnitsSolved = unitsSolved
-	c.m.CacheHits = cacheHits
-	c.m.CacheMisses = cacheMisses
+	c.mu.Unlock()
+}
+
+// AddReportCache records the outcome of a report-cache lookup.
+func (c *Collector) AddReportCache(hits, misses int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.m.ReportCacheHits += hits
+	c.m.ReportCacheMisses += misses
 	c.mu.Unlock()
 }
 
@@ -183,7 +210,7 @@ func (c *Collector) AddFrontendCache(hits, misses int) {
 }
 
 // AddDiskCache accumulates persistent-cache hit/miss counts; the parse
-// and summary caches report concurrently when a disk tier is attached.
+// and report caches report them when a disk tier is attached.
 func (c *Collector) AddDiskCache(hits, misses int) {
 	if c == nil {
 		return

@@ -144,8 +144,8 @@ func WriteStats(w io.Writer, m *metrics.RunMetrics) {
 	}
 	fmt.Fprintf(w, "  translation units: %d   callgraph SCCs: %d   fixpoint rounds: %d\n",
 		m.TranslationUnits, m.SCCs, m.FixpointRounds)
-	fmt.Fprintf(w, "  summaries solved: %d   cache hits/misses: %d/%d   peak goroutines: %d\n",
-		m.UnitsSolved, m.CacheHits, m.CacheMisses, m.PeakGoroutines)
+	fmt.Fprintf(w, "  summaries solved: %d   report cache hits/misses: %d/%d   peak goroutines: %d\n",
+		m.UnitsSolved, m.ReportCacheHits, m.ReportCacheMisses, m.PeakGoroutines)
 }
 
 // Table1Header returns the header lines of the paper's Table 1.

@@ -8,14 +8,13 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/report"
 	"safeflow/internal/sarifschema"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 )
 
 // TestSARIFDeterminism pins the CI-facing invariant for the new format:
 // the SARIF bytes are identical at every worker count and at every
-// cache temperature. Each worker count is rendered cold (summary cache
-// reset) and warm (second run over the populated cache) and every
+// cache temperature. Each worker count is rendered cold (a fresh disk
+// store) and warm (a report-cache hit from that store) and every
 // rendering must equal the first.
 func TestSARIFDeterminism(t *testing.T) {
 	sys := corpus.All()[0]
@@ -24,8 +23,8 @@ func TestSARIFDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	render := func(workers int) []byte {
-		rep, err := safeflow.Analyze(sys.Name, src, sys.CFiles, safeflow.Options{Workers: workers})
+	render := func(workers int, dc *safeflow.DiskCache) []byte {
+		rep, err := safeflow.Analyze(sys.Name, src, sys.CFiles, safeflow.Options{Workers: workers, DiskCache: dc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,9 +37,12 @@ func TestSARIFDeterminism(t *testing.T) {
 
 	var want []byte
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		vfg.ResetSummaryCache()
-		cold := render(workers)
-		warm := render(workers)
+		dc, err := safeflow.OpenDiskCache(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := render(workers, dc)
+		warm := render(workers, dc)
 		if want == nil {
 			want = cold
 			if errs := sarifschema.ValidateSARIF(want); len(errs) != 0 {
@@ -54,7 +56,6 @@ func TestSARIFDeterminism(t *testing.T) {
 			t.Errorf("workers=%d warm: SARIF bytes diverged", workers)
 		}
 	}
-	vfg.ResetSummaryCache()
 }
 
 // TestSARIFSuppressionsAndPolicy locks the SARIF surface for a policy

@@ -125,6 +125,11 @@ func RunConcurrent(cfg Config) (*ConcurrentTrace, error) {
 	var stop atomic.Bool
 	var ncIters atomic.Int64
 	var wg sync.WaitGroup
+	// firstIter closes after the non-core loop's first iteration; step 0
+	// waits for it, so the non-core component takes part in every run
+	// however the scheduler orders the two goroutines.
+	firstIter := make(chan struct{})
+	var firstOnce sync.Once
 
 	// Non-core component: reacts to each newly published feedback (its own
 	// period is driven by the core's publications, like the lab systems
@@ -150,6 +155,7 @@ func RunConcurrent(cfg Config) (*ConcurrentTrace, error) {
 			} else {
 				runtime.Gosched()
 			}
+			firstOnce.Do(func() { close(firstIter) })
 		}
 	}()
 
@@ -168,6 +174,9 @@ func RunConcurrent(cfg Config) (*ConcurrentTrace, error) {
 		// The real core sleeps out its period here (Figure 2's wait call);
 		// yielding models that and gives the non-core loop its slot.
 		runtime.Gosched()
+		if step == 0 {
+			<-firstIter
+		}
 
 		// The core's period: whatever proposal is present right now.
 		shared.Seg.Lock()

@@ -4,8 +4,7 @@
 // A tracked run records, per (function, context) unit, everything the unit
 // contributed to the analysis beyond its summary: the global memory cells
 // it wrote, the cells it read, the sources it interned and the errors it
-// recorded — all in the portable (pointer-free) forms the summary cache
-// already defines. The captured IncrState also fingerprints every defined
+// recorded — all in the portable (pointer-free) forms of portable.go. The captured IncrState also fingerprints every defined
 // function: a body hash (name, positions, printed IR, assert annotations,
 // function facts) plus an environment hash (the shm facts, points-to
 // footprints and callee identities its transfer functions consult).
@@ -114,8 +113,7 @@ type IncrStats struct {
 // ---------------------------------------------------------------------------
 // Fingerprints
 
-// fnvHash is the incremental FNV-1a mixer (same parameters as the summary
-// cache's checksum).
+// fnvHash is the incremental 64-bit FNV-1a mixer.
 type fnvHash struct{ h uint64 }
 
 func newFNV() *fnvHash { return &fnvHash{h: 14695981039346656037} }
@@ -799,12 +797,6 @@ const maxIncrRestarts = 3
 // runIncremental is the incremental driver: fingerprint, invalidate the
 // dirty cone, replay everything else, verify, restart on drift.
 func runIncremental(cfg Config) *Result {
-	// Replay and the cross-run summary cache are mutually exclusive: a
-	// seeded summary has no replay record, and a replayed unit must not
-	// be re-stored under a whole-module key it no longer fingerprints.
-	cfg.CacheKey = ""
-	cfg.DiskCache = nil
-
 	fps := computeFingerprints(&cfg)
 	regionFP := regionFingerprint(cfg.SF)
 	prev := cfg.Incr.Prev

@@ -28,7 +28,6 @@ import (
 	"safeflow/internal/cfgraph"
 	"safeflow/internal/ctoken"
 	"safeflow/internal/dataflow"
-	"safeflow/internal/diskcache"
 	"safeflow/internal/ir"
 	"safeflow/internal/irgen"
 	"safeflow/internal/metrics"
@@ -55,22 +54,10 @@ type Config struct {
 	// Workers bounds the number of callgraph SCCs solved concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 solves sequentially.
 	Workers int
-	// CacheKey, when non-empty, enables the cross-run summary cache: units
-	// whose (function, context) summaries were computed by an earlier run
-	// with the same key are seeded from the cache, and this run's converged
-	// summaries are stored back. The key must fingerprint the module
-	// contents (see core.AnalyzeModule).
-	CacheKey string
-	// DiskCache, when non-nil (and CacheKey is set), adds a persistent
-	// tier below the in-memory summary cache: converged modules are also
-	// written to the content-addressed store and seeded back after a
-	// process restart. Integrity-checked on read (store checksum plus the
-	// module's structural checksum); a damaged entry degrades to a miss.
-	DiskCache diskcache.CacheBackend
 	// Ctx, when non-nil, cancels the analysis between units: the drivers
 	// check it between fixpoint rounds and before each SCC solve, so a
-	// cancelled run stops promptly with a partial (discarded) result and
-	// never publishes to the summary cache. Callers detect cancellation
+	// cancelled run stops promptly with a partial (discarded) result.
+	// Callers detect cancellation
 	// through Ctx.Err(), not through the Result.
 	Ctx context.Context
 	// Metrics, when non-nil, receives goroutine observations from worker
@@ -96,8 +83,7 @@ type Config struct {
 	// copy taint between arguments, and the built-in shared-memory rules
 	// (unmonitored reads, noncore receives, kill-pid) run only when the
 	// policy enables them. Nil behaves exactly like the default
-	// simplex-shm policy. The policy's fingerprint must be folded into
-	// CacheKey by the caller — summaries encode rule attribution.
+	// simplex-shm policy.
 	Policy *policy.Compiled
 }
 
@@ -153,9 +139,6 @@ type Result struct {
 	SCCs int
 	// Rounds is the number of driver fixpoint rounds executed.
 	Rounds int
-	// CacheHits / CacheMisses count units seeded (or not) from the
-	// cross-run summary cache; both are zero when caching is off.
-	CacheHits, CacheMisses int
 	// Internal lists panics recovered inside SCC workers (as
 	// *guard.InternalError), sorted for deterministic reporting. The
 	// affected component's results may be partial; everything else is
@@ -284,8 +267,7 @@ type analysis struct {
 	solves  atomic.Int64
 	changed atomic.Bool
 
-	rounds                 int
-	cacheHits, cacheMisses int
+	rounds int
 
 	// Incremental-mode state (zero outside incremental runs): track turns
 	// on per-unit contribution recording; replay maps unit keys to the
@@ -1144,8 +1126,6 @@ func (a *analysis) finish() *Result {
 		UnitsAnalyzed: int(a.solves.Load()),
 		SCCs:          len(a.cfg.CG.BottomUp()),
 		Rounds:        a.rounds,
-		CacheHits:     a.cacheHits,
-		CacheMisses:   a.cacheMisses,
 	}
 	a.intMu.Lock()
 	res.Internal = append(res.Internal, a.internal...)

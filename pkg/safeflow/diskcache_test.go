@@ -1,11 +1,12 @@
 package safeflow_test
 
 // Persistent-cache behavior through the public pipeline: a "process
-// restart" is simulated by resetting both in-memory caches between runs
-// that share one disk cache directory. The restarted run must start warm
-// from disk alone, a corrupted disk entry must be evicted and recomputed
-// (surfacing in cache_corrupt_evictions), and every report — cold, warm,
-// corrupt-healed — must stay byte-identical.
+// restart" is simulated by resetting the in-memory parse cache between
+// runs that share one disk cache directory. The restarted run must be
+// served from the report cache on disk alone, a corrupted disk entry
+// must be evicted and recomputed (surfacing in cache_corrupt_evictions),
+// and every report — cold, warm, corrupt-healed — must stay
+// byte-identical.
 
 import (
 	"bytes"
@@ -14,15 +15,13 @@ import (
 
 	"safeflow/internal/corpus"
 	"safeflow/internal/frontend"
-	"safeflow/internal/vfg"
 	"safeflow/pkg/safeflow"
 )
 
-// resetMemoryCaches simulates a process restart: both in-memory tiers
-// are emptied so only the disk tier can make the next run warm.
+// resetMemoryCaches simulates a process restart: the in-memory parse
+// cache is emptied so only the disk tier can make the next run warm.
 func resetMemoryCaches() {
 	frontend.ResetParseCache()
-	vfg.ResetSummaryCache()
 }
 
 func reportBytes(t *testing.T, rep *safeflow.Report) []byte {
@@ -67,8 +66,24 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 		t.Fatalf("restarted run: disk hits=%d misses=%d, want >0 hits",
 			warm.Metrics.DiskCacheHits, warm.Metrics.DiskCacheMisses)
 	}
-	if warm.Metrics.FrontendCacheHits == 0 {
-		t.Fatal("restarted run: parse cache reports no hits despite disk tier")
+	if warm.Metrics.ReportCacheHits != 1 || warm.Metrics.FrontendCacheMisses != 0 {
+		t.Fatalf("restarted run: report-cache hits=%d, parse misses=%d; want a hit that compiles nothing",
+			warm.Metrics.ReportCacheHits, warm.Metrics.FrontendCacheMisses)
+	}
+
+	// With the report entry gone, the parse entries on disk still make
+	// the restarted run's frontend warm.
+	if dc.Corrupt("report", 1) != 1 {
+		t.Fatal("no report entry to damage")
+	}
+	resetMemoryCaches()
+	reparsed, err := safeflow.AnalyzeString("figure2", string(src), statsOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reparsed.Metrics.FrontendCacheHits == 0 || reparsed.Metrics.ReportCacheMisses != 1 {
+		t.Fatalf("restarted run without a report entry: parse hits=%d, report misses=%d",
+			reparsed.Metrics.FrontendCacheHits, reparsed.Metrics.ReportCacheMisses)
 	}
 
 	// Reports must not depend on cache temperature. Compare a genuinely
@@ -113,13 +128,13 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := base
-	if dc.Len("parse") == 0 || dc.Len("summary") == 0 {
-		t.Fatalf("expected disk entries after cold run: parse=%d summary=%d",
-			dc.Len("parse"), dc.Len("summary"))
+	if dc.Len("parse") == 0 || dc.Len("report") == 0 {
+		t.Fatalf("expected disk entries after cold run: parse=%d report=%d",
+			dc.Len("parse"), dc.Len("report"))
 	}
 
 	// Damage every entry in both namespaces, then "restart".
-	nCorrupt := dc.Corrupt("parse", 100) + dc.Corrupt("summary", 100)
+	nCorrupt := dc.Corrupt("parse", 100) + dc.Corrupt("report", 100)
 	if nCorrupt == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}

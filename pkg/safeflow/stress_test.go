@@ -3,9 +3,9 @@ package safeflow_test
 // Stress layer: a batch of seeded pseudo-random systems (internal/corpus
 // generator) pushed through AnalyzeAll with mixed per-job options. Run
 // under -race in CI, this exercises the frontend worker pools, the
-// phase-3 SCC scheduler, the summary cache, and the batch fan-out all at
-// once; the assertions check fault-free completion and batch-vs-solo
-// agreement, not specific diagnostics.
+// phase-3 SCC scheduler, the parse and report caches, and the batch
+// fan-out all at once; the assertions check fault-free completion and
+// batch-vs-solo agreement, not specific diagnostics.
 
 import (
 	"testing"
@@ -18,6 +18,10 @@ const stressSystems = 50
 
 func stressJobs(tb testing.TB, n int) []safeflow.Job {
 	tb.Helper()
+	dc, err := safeflow.OpenDiskCache(tb.TempDir(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	jobs := make([]safeflow.Job, n)
 	for i := range jobs {
 		g := corpus.Generate(int64(i), corpus.GenConfig{
@@ -31,10 +35,12 @@ func stressJobs(tb testing.TB, n int) []safeflow.Job {
 			Sources: g.Sources,
 			CFiles:  g.CFiles,
 			Options: safeflow.Options{
-				Workers:      1 + i%3,  // mix sequential and parallel pipelines
-				Stats:        i%2 == 0, // half the jobs collect metrics
-				DisableCache: i%4 == 3, // and a quarter run cache-less
+				Workers: 1 + i%3,  // mix sequential and parallel pipelines
+				Stats:   i%2 == 0, // half the jobs collect metrics
 			},
+		}
+		if i%4 == 3 { // and a quarter store reports in one shared disk cache
+			jobs[i].Options.DiskCache = dc
 		}
 	}
 	return jobs
