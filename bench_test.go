@@ -67,27 +67,27 @@ func BenchmarkTable1_DoubleIP(b *testing.B) {
 // records a repeat served from the report cache.
 
 func BenchmarkParallel_IP_Workers1(b *testing.B) {
-	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 1, DisableCache: true})
+	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 1})
 }
 
 func BenchmarkParallel_IP_WorkersMax(b *testing.B) {
-	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 0, DisableCache: true})
+	benchmarkSystem(b, corpus.IP(), core.Options{Workers: 0})
 }
 
 func BenchmarkParallel_GenericSimplex_Workers1(b *testing.B) {
-	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 1, DisableCache: true})
+	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 1})
 }
 
 func BenchmarkParallel_GenericSimplex_WorkersMax(b *testing.B) {
-	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 0, DisableCache: true})
+	benchmarkSystem(b, corpus.GenericSimplex(), core.Options{Workers: 0})
 }
 
 func BenchmarkParallel_DoubleIP_Workers1(b *testing.B) {
-	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 1, DisableCache: true})
+	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 1})
 }
 
 func BenchmarkParallel_DoubleIP_WorkersMax(b *testing.B) {
-	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 0, DisableCache: true})
+	benchmarkSystem(b, corpus.DoubleIP(), core.Options{Workers: 0})
 }
 
 func table1Jobs(b *testing.B) []safeflow.Job {
@@ -101,7 +101,7 @@ func table1Jobs(b *testing.B) []safeflow.Job {
 		}
 		jobs[i] = safeflow.Job{
 			Name: sys.Name, Sources: src, CFiles: sys.CFiles,
-			Options: core.Options{DisableCache: true},
+			Options: core.Options{},
 		}
 	}
 	return jobs
@@ -344,8 +344,8 @@ func BenchmarkAblation_StaticVsDynamicTaint(b *testing.B) {
 func BenchmarkAblation_SummaryVsExponential(b *testing.B) {
 	sys := corpus.DoubleIP()
 	b.Run("summaries", func(b *testing.B) {
-		// Cache off: the ablation measures the summary algorithm itself.
-		benchmarkSystem(b, sys, core.Options{DisableCache: true})
+		// No disk cache: the ablation measures the summary algorithm itself.
+		benchmarkSystem(b, sys, core.Options{})
 	})
 	b.Run("per_call_path", func(b *testing.B) {
 		benchmarkSystem(b, sys, core.Options{Exponential: true})
@@ -414,7 +414,7 @@ func BenchmarkParallel_Phases13(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep := core.AnalyzeModule(sys.Name, res, core.Options{DisableCache: true})
+				rep := core.AnalyzeModule(sys.Name, res, core.Options{})
 				if len(rep.ErrorsData) != sys.Expected.Errors {
 					b.Fatalf("counts diverged")
 				}

@@ -117,7 +117,7 @@ func benchIncremental() ([]incrBench, error) {
 // appended to the first translation unit.
 func benchIncrOne(sub incrSubject, updates int) (incrBench, error) {
 	resetBenchCaches()
-	opts := safeflow.Options{DisableCache: true, DisableParseCache: true}
+	opts := safeflow.Options{DisableParseCache: true}
 	t0 := time.Now()
 	sess, _, err := safeflow.Open(sub.name, sub.sources, sub.cFiles, opts)
 	if err != nil {

@@ -17,7 +17,7 @@ func TestGen50TUSplitsClean(t *testing.T) {
 	}
 	resetBenchCaches()
 	rep, err := safeflow.Analyze(name, sources, cFiles,
-		safeflow.Options{DisableCache: true, DisableParseCache: true})
+		safeflow.Options{DisableParseCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func BenchmarkUpdate50TU(b *testing.B) {
 	name, sources, cFiles := gen50TU()
 	resetBenchCaches()
 	sess, _, err := safeflow.Open(name, sources, cFiles,
-		safeflow.Options{DisableCache: true, DisableParseCache: true})
+		safeflow.Options{DisableParseCache: true})
 	if err != nil {
 		b.Fatal(err)
 	}

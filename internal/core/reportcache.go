@@ -1,8 +1,8 @@
 // Content-addressed report cache. A finished Report is a deterministic
-// function of the sources the preprocessor reads and the options that
-// change the analysis, and fingerprintSources hashes exactly those. So
-// a run whose fingerprint matches a stored entry can skip the whole
-// pipeline and rebuild the stored report instead.
+// function of the analyzer build, the sources the preprocessor reads and
+// the options that change the analysis, and fingerprintSources hashes
+// exactly those. So a run whose fingerprint matches a stored entry can
+// skip the whole pipeline and rebuild the stored report instead.
 //
 // The cache lives in the "report" namespace of Options.DiskCache (the
 // disk store, or the remote-tiered cache in front of it); there is no
@@ -17,11 +17,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"runtime/debug"
 	"sort"
+	"sync"
 
 	"safeflow/internal/ctoken"
 	"safeflow/internal/diskcache"
@@ -41,6 +47,51 @@ const reportNS = "report"
 // would change for the same wire value: the store invalidates entries
 // written under any other version instead of decoding them.
 const reportVersion = 1
+
+// buildIdentity names the analyzer build, and is part of every report
+// key: a stored report is a verdict, so one written by another build
+// (an older release sharing a per-user cache, a restored CI cache, a
+// fleet mid-deploy behind one remote tier) must never be served, or a
+// fix in any analysis phase would not reach that cache's users. It is
+// computed once per process, on the first report-cache lookup; tests
+// replace it to simulate another build.
+var buildIdentity = sync.OnceValue(readBuildIdentity)
+
+// readBuildIdentity hashes the build info (main module version and
+// sum, VCS revision, toolchain, build settings, dependency sums) of a
+// binary whose source it pins: one built from a clean VCS checkout or
+// from a checksummed module version. Otherwise it hashes the
+// executable's contents. If neither is available, a per-process nonce
+// keeps reports from being served across processes at all.
+func readBuildIdentity() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var rev, modified string
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
+		}
+		if (rev != "" && modified == "false") || bi.Main.Sum != "" {
+			sum := sha256.Sum256([]byte(bi.String()))
+			return "buildinfo:" + hex.EncodeToString(sum[:])
+		}
+	}
+	if exe, err := os.Executable(); err == nil {
+		if f, err := os.Open(exe); err == nil {
+			defer f.Close()
+			h := sha256.New()
+			if _, err := io.Copy(h, f); err == nil {
+				return "exe:" + hex.EncodeToString(h.Sum(nil))
+			}
+		}
+	}
+	var nonce [16]byte
+	rand.Read(nonce[:])
+	return "process:" + hex.EncodeToString(nonce[:])
+}
 
 // pipelinePhases are the metrics phases of every stored run: a report
 // is stored only when no phase crashed, so all of them ran, in order.
@@ -147,7 +198,7 @@ func hitMetrics(col *metrics.Collector, rep *Report) {
 	for _, p := range pipelinePhases {
 		col.SkipPhase(p)
 	}
-	col.SetPhase3(rep.sccs, 0, 0)
+	col.SetPhase3(rep.sccs, 0, 0, rep.UnitsAnalyzed, 0)
 }
 
 func encodeReport(rep *Report) ([]byte, error) {

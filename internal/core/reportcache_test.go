@@ -17,20 +17,22 @@ import (
 )
 
 // memCache is an in-memory CacheBackend for tests: a map per namespace,
-// plus a count of Puts per namespace.
+// plus a count of Gets and Puts per namespace.
 type memCache struct {
 	mu      sync.Mutex
 	entries map[string]map[[sha256.Size]byte][]byte
+	gets    map[string]int
 	puts    map[string]int
 }
 
 func newMemCache() *memCache {
-	return &memCache{entries: map[string]map[[sha256.Size]byte][]byte{}, puts: map[string]int{}}
+	return &memCache{entries: map[string]map[[sha256.Size]byte][]byte{}, gets: map[string]int{}, puts: map[string]int{}}
 }
 
 func (m *memCache) Get(ns string, version uint32, key [sha256.Size]byte) ([]byte, bool, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.gets[ns]++
 	data, ok := m.entries[ns][key]
 	return data, ok, false
 }
@@ -55,6 +57,12 @@ func (m *memCache) putCount(ns string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.puts[ns]
+}
+
+func (m *memCache) getCount(ns string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.gets[ns]
 }
 
 func figure2Source(t *testing.T) string {
@@ -178,12 +186,75 @@ func TestReportCacheHitMatchesFreshRun(t *testing.T) {
 			t.Fatalf("policy %q: misses=%d on the first run, hits=%d on the repeat",
 				pol, fresh.Metrics.ReportCacheMisses, hit.Metrics.ReportCacheHits)
 		}
+		if fresh.Metrics.CacheMisses != fresh.UnitsAnalyzed || hit.Metrics.CacheHits != fresh.UnitsAnalyzed ||
+			fresh.Metrics.CacheHits != 0 || hit.Metrics.CacheMisses != 0 {
+			t.Fatalf("policy %q: unit counters fresh %d/%d, hit %d/%d, want 0/%d and %[6]d/0", pol,
+				fresh.Metrics.CacheHits, fresh.Metrics.CacheMisses, hit.Metrics.CacheHits, hit.Metrics.CacheMisses, fresh.UnitsAnalyzed)
+		}
 		if hit.Module != nil || fresh.Module == nil {
 			t.Fatalf("policy %q: Module on a hit = %v, on a miss = %v", pol, hit.Module, fresh.Module)
 		}
 		if got, want := describeReport(hit), describeReport(fresh); got != want {
 			t.Errorf("policy %q: hit report differs from the fresh one:\n--- fresh\n%s\n--- hit\n%s", pol, want, got)
 		}
+	}
+}
+
+// TestReportCacheKeyedByBuild pins that a report stored by one analyzer
+// build is never served to another: the store is shared across
+// upgrades, restored CI caches and fleet deploys, and a stored report is
+// the verdict itself.
+func TestReportCacheKeyedByBuild(t *testing.T) {
+	if buildIdentity() == "" || buildIdentity() != buildIdentity() {
+		t.Fatalf("build identity %q is empty or unstable", buildIdentity())
+	}
+	mc := newMemCache()
+	src := cpp.MapSource{"main.c": figure2Source(t)}
+	files := []string{"main.c"}
+	opts := Options{Stats: true, DiskCache: mc}
+	if _, err := AnalyzeSources("s", src, files, opts); err != nil {
+		t.Fatal(err)
+	}
+	thisBuild := buildIdentity
+	defer func() { buildIdentity = thisBuild }()
+	buildIdentity = func() string { return "another build" }
+	rep, err := AnalyzeSources("s", src, files, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Metrics.ReportCacheHits != 0 || rep.Module == nil {
+		t.Fatal("another build was served this build's stored report")
+	}
+	if n := mc.len(reportNS); n != 2 {
+		t.Fatalf("report namespace holds %d entries, want one per build", n)
+	}
+	buildIdentity = thisBuild
+	if rep, err := AnalyzeSources("s", src, files, opts); err != nil || rep.Metrics.ReportCacheHits != 1 {
+		t.Fatalf("this build's own report was not served back (err %v)", err)
+	}
+}
+
+// TestDisableCacheBypassesReportCache pins that DisableCache with a disk
+// cache attached neither reads nor writes the report namespace, even
+// when it holds the run's report.
+func TestDisableCacheBypassesReportCache(t *testing.T) {
+	mc := newMemCache()
+	src := cpp.MapSource{"main.c": figure2Source(t)}
+	files := []string{"main.c"}
+	if _, err := AnalyzeSources("s", src, files, Options{DiskCache: mc}); err != nil {
+		t.Fatal(err)
+	}
+	gets, puts := mc.getCount(reportNS), mc.putCount(reportNS)
+	rep, err := AnalyzeSources("s", src, files, Options{Stats: true, DiskCache: mc, DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Module == nil || rep.Metrics.ReportCacheHits != 0 || rep.Metrics.ReportCacheMisses != 0 {
+		t.Fatal("DisableCache run consulted the report cache")
+	}
+	if mc.getCount(reportNS) != gets || mc.putCount(reportNS) != puts {
+		t.Fatalf("DisableCache run touched the report namespace: gets %d→%d, puts %d→%d",
+			gets, mc.getCount(reportNS), puts, mc.putCount(reportNS))
 	}
 }
 

@@ -78,8 +78,6 @@ func OpenSession(ctx context.Context, name string, sources map[string]string, cF
 	for k, v := range sources {
 		s.sources[k] = v
 	}
-	// A session replays its own records instead of the report cache.
-	s.opts.DisableCache = true
 	fopts := frontend.Options{
 		Defines:           s.opts.Defines,
 		Workers:           s.opts.Workers,
@@ -172,7 +170,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			for _, ph := range pipelinePhases[1:] {
 				col.SkipPhase(ph)
 			}
-			col.SetPhase3(s.last.sccs, 0, 0)
+			col.SetPhase3(s.last.sccs, 0, 0, 0, 0)
 			col.SetIncremental(0, len(hashes), 0, 0)
 			rep := *s.last
 			rep.LinesOfCode, rep.AnnotationLines = s.countStats()

@@ -57,7 +57,7 @@ func TestSessionGeneratedLifecycle(t *testing.T) {
 	}
 	for _, w := range sessionWorkerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			opts := core.Options{Workers: w, Stats: true, DisableCache: true}
+			opts := core.Options{Workers: w, Stats: true}
 			s, rep, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 			if err != nil {
 				t.Fatalf("open: %v", err)
@@ -114,7 +114,7 @@ func TestSessionCorpusSystems(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := core.Options{Workers: 2, Stats: true, DisableCache: true}
+			opts := core.Options{Workers: 2, Stats: true}
 			s, _, err := core.OpenSession(context.Background(), sys.Name, sources, sys.CFiles, opts)
 			if err != nil {
 				t.Fatalf("open: %v", err)
@@ -163,7 +163,7 @@ func TestSessionCorpusSystems(t *testing.T) {
 // from-scratch report at every step and recovers its fast path.
 func TestSessionDegradedThenFixed(t *testing.T) {
 	g := corpus.Generate(3, corpus.GenConfig{})
-	opts := core.Options{Workers: 2, Stats: true, Recover: true, DisableCache: true}
+	opts := core.Options{Workers: 2, Stats: true, Recover: true}
 	s, _, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -209,7 +209,7 @@ func TestSessionDegradedThenFixed(t *testing.T) {
 // comparing against from-scratch runs with the same unit list.
 func TestSessionAddRemoveFile(t *testing.T) {
 	g := corpus.Generate(5, corpus.GenConfig{})
-	opts := core.Options{Workers: 2, Stats: true, DisableCache: true}
+	opts := core.Options{Workers: 2, Stats: true}
 	s, _, err := core.OpenSession(context.Background(), g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)

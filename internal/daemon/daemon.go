@@ -181,6 +181,8 @@ type Metrics struct {
 	// Aggregated run-metrics counters summed over completed analyses.
 	TranslationUnits      int64 `json:"translation_units"`
 	UnitsSolved           int64 `json:"units_solved"`
+	CacheHits             int64 `json:"cache_hits"`
+	CacheMisses           int64 `json:"cache_misses"`
 	ReportCacheHits       int64 `json:"report_cache_hits"`
 	ReportCacheMisses     int64 `json:"report_cache_misses"`
 	FrontendCacheHits     int64 `json:"frontend_cache_hits"`
@@ -629,6 +631,8 @@ func (s *Server) aggregate(rm *metrics.RunMetrics) {
 	s.count(func(m *Metrics) {
 		m.TranslationUnits += int64(rm.TranslationUnits)
 		m.UnitsSolved += int64(rm.UnitsSolved)
+		m.CacheHits += int64(rm.CacheHits)
+		m.CacheMisses += int64(rm.CacheMisses)
 		m.ReportCacheHits += int64(rm.ReportCacheHits)
 		m.ReportCacheMisses += int64(rm.ReportCacheMisses)
 		m.FrontendCacheHits += int64(rm.FrontendCacheHits)

@@ -129,7 +129,6 @@ func analyze(ctx context.Context, in Input, sources map[string]string, workers i
 		Recover:           true,
 		Workers:           workers,
 		Stats:             stats,
-		DisableCache:      true,
 		DisableParseCache: true,
 	})
 }
@@ -292,7 +291,6 @@ func (e *Executor) checkIncremental(ctx context.Context, in Input) (*Violation, 
 	opts := core.Options{
 		Recover:           true,
 		Workers:           e.workers()[0],
-		DisableCache:      true,
 		DisableParseCache: true,
 	}
 	sess, _, err := core.OpenSession(ctx, in.Name, in.Sources, in.CFiles, opts)

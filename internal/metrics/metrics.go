@@ -19,9 +19,9 @@ import (
 // the field set. Bump it whenever a field is removed or changes meaning
 // (additions are backward compatible and do not bump it).
 //
-// v2 removed the phase-3 summary-cache counters (cache_hits,
-// cache_misses) with the summary cache itself, and added the report
-// cache counters.
+// v2 deleted the phase-3 summary cache: cache_hits and cache_misses
+// now count phase-3 units served from the report cache, and the report
+// cache counters were added.
 const SchemaVersion = 2
 
 // PhaseMetrics is the timing of one pipeline phase.
@@ -43,6 +43,12 @@ type RunMetrics struct {
 	SCCs             int            `json:"sccs"`
 	FixpointRounds   int            `json:"fixpoint_rounds"`
 	UnitsSolved      int            `json:"units_solved"`
+	// CacheHits counts the phase-3 units a report-cache hit serves (all
+	// those of the run that stored the report); CacheMisses counts the
+	// units phase 3 analyzed itself, equal to UnitsSolved. A run fills
+	// one of the two.
+	CacheHits   int `json:"cache_hits"`
+	CacheMisses int `json:"cache_misses"`
 	// Report-cache counters (omitted from JSON when zero): a run with a
 	// disk cache looks its fingerprint up once, so one of the two is 1.
 	// On a hit no pipeline phase runs: the phases are listed with zero
@@ -91,6 +97,8 @@ func (m *RunMetrics) Canonicalize() {
 	}
 	m.FixpointRounds = 0
 	m.UnitsSolved = 0
+	m.CacheHits = 0
+	m.CacheMisses = 0
 	m.ReportCacheHits = 0
 	m.ReportCacheMisses = 0
 	m.FrontendCacheHits = 0
@@ -161,7 +169,7 @@ func (c *Collector) SetTranslationUnits(n int) {
 }
 
 // SetPhase3 records the value-flow phase's shape counters.
-func (c *Collector) SetPhase3(sccs, rounds, unitsSolved int) {
+func (c *Collector) SetPhase3(sccs, rounds, unitsSolved, cacheHits, cacheMisses int) {
 	if c == nil {
 		return
 	}
@@ -169,6 +177,8 @@ func (c *Collector) SetPhase3(sccs, rounds, unitsSolved int) {
 	c.m.SCCs = sccs
 	c.m.FixpointRounds = rounds
 	c.m.UnitsSolved = unitsSolved
+	c.m.CacheHits = cacheHits
+	c.m.CacheMisses = cacheMisses
 	c.mu.Unlock()
 }
 

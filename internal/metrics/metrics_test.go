@@ -12,7 +12,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	done := c.Phase("frontend")
 	done()
 	c.SetTranslationUnits(4)
-	c.SetPhase3(1, 2, 3)
+	c.SetPhase3(1, 2, 3, 4, 5)
 	c.SkipPhase("vfg")
 	c.AddReportCache(1, 0)
 	c.ObserveGoroutines()
@@ -29,7 +29,7 @@ func TestCollectorSnapshot(t *testing.T) {
 	done = c.Phase("vfg")
 	done()
 	c.SetTranslationUnits(4)
-	c.SetPhase3(7, 2, 31)
+	c.SetPhase3(7, 2, 31, 5, 26)
 	c.AddReportCache(0, 1)
 	m := c.Finish()
 
@@ -43,7 +43,8 @@ func TestCollectorSnapshot(t *testing.T) {
 		t.Errorf("timings not monotone: phase=%d total=%d", m.Phases[0].WallNS, m.WallNS)
 	}
 	if m.TranslationUnits != 4 || m.SCCs != 7 || m.FixpointRounds != 2 ||
-		m.UnitsSolved != 31 || m.ReportCacheHits != 0 || m.ReportCacheMisses != 1 {
+		m.UnitsSolved != 31 || m.CacheHits != 5 || m.CacheMisses != 26 ||
+		m.ReportCacheHits != 0 || m.ReportCacheMisses != 1 {
 		t.Errorf("counters = %+v", m)
 	}
 	if m.PeakGoroutines < 1 {
@@ -60,13 +61,14 @@ func TestCanonicalizeZeroesVolatileFields(t *testing.T) {
 	c := NewCollector()
 	c.Phase("frontend")()
 	c.SetTranslationUnits(3)
-	c.SetPhase3(7, 2, 31)
+	c.SetPhase3(7, 2, 31, 5, 26)
 	c.AddReportCache(1, 0)
 	m := c.Finish()
 	m.Canonicalize()
 
 	if m.WallNS != 0 || m.Phases[0].WallNS != 0 || m.PeakGoroutines != 0 ||
-		m.ReportCacheHits != 0 || m.ReportCacheMisses != 0 || m.FixpointRounds != 0 || m.UnitsSolved != 0 {
+		m.CacheHits != 0 || m.CacheMisses != 0 || m.ReportCacheHits != 0 || m.ReportCacheMisses != 0 ||
+		m.FixpointRounds != 0 || m.UnitsSolved != 0 {
 		t.Errorf("volatile fields survived canonicalization: %+v", m)
 	}
 	if m.SchemaVersion != SchemaVersion || m.TranslationUnits != 3 || m.SCCs != 7 ||
@@ -108,13 +110,13 @@ func TestJSONFieldNames(t *testing.T) {
 	}
 	for _, key := range []string{
 		"schema_version", "wall_ns", "phases", "translation_units", "sccs",
-		"fixpoint_rounds", "units_solved", "peak_goroutines",
+		"fixpoint_rounds", "units_solved", "cache_hits", "cache_misses", "peak_goroutines",
 	} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("JSON key %q missing (schema break — bump SchemaVersion?)", key)
 		}
 	}
-	if len(raw) != 8 {
-		t.Errorf("JSON has %d keys, want 8: %v", len(raw), raw)
+	if len(raw) != 10 {
+		t.Errorf("JSON has %d keys, want 10: %v", len(raw), raw)
 	}
 }

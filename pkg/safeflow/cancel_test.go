@@ -65,7 +65,7 @@ func TestCancelMidFrontend(t *testing.T) {
 
 func TestCancelMidFixpoint(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := cancelAtPhase(t, "vfg", safeflow.Options{Workers: workers, DisableCache: true})
+		err := cancelAtPhase(t, "vfg", safeflow.Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: got %v, want context.Canceled", workers, err)
 		}

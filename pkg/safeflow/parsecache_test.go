@@ -20,7 +20,7 @@ func TestParseCacheCrossRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := safeflow.Options{Stats: true, DisableCache: true}
+	opts := safeflow.Options{Stats: true}
 
 	cold, err := safeflow.AnalyzeString("figure2", string(src), opts)
 	if err != nil {

@@ -41,7 +41,7 @@ func TestSessionPublicLifecycle(t *testing.T) {
 		t.Fatalf("edit script has no call-graph-changing rewrite; reseed the script")
 	}
 
-	opts := safeflow.Options{Workers: 2, Stats: true, DisableCache: true}
+	opts := safeflow.Options{Workers: 2, Stats: true}
 	sess, rep, err := safeflow.Open(g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -97,7 +97,7 @@ func TestSessionPublicLifecycle(t *testing.T) {
 // safe-for-concurrent-use contract, meant to run under -race.
 func TestSessionConcurrentReaders(t *testing.T) {
 	g := corpus.Generate(17, corpus.GenConfig{Regions: 2, Monitors: 2, Stages: 4})
-	opts := safeflow.Options{Workers: 2, DisableCache: true}
+	opts := safeflow.Options{Workers: 2}
 	sess, _, err := safeflow.Open(g.Name, g.Sources, g.CFiles, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
