@@ -1,5 +1,5 @@
-// Allocation-regression pins for the phase 1-3 hot path and the
-// report-cache hit path. The phase 1-3 constants are the seed tree's
+// Allocation-regression pins for the phase 1-3 hot path, the
+// report-cache hit path and session open. The phase 1-3 constants are the seed tree's
 // -benchmem numbers for BenchmarkParallel_Phases13 (recorded in
 // EXPERIMENTS.md, "PR 3 — allocation profile"); the interned bitset
 // taint lattice and slice-indexed solver must stay at least 40% below
@@ -15,6 +15,7 @@ import (
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
 	"safeflow/internal/frontend"
+	"safeflow/pkg/safeflow"
 )
 
 // Seed baselines: allocs/op and B/op of phases 1-3 per corpus system
@@ -118,4 +119,54 @@ func TestAllocRegression_ReportCacheHit(t *testing.T) {
 			t.Logf("%s: %d allocs/op, %d B/op on a report-cache hit", sys.Name, allocs, bytes)
 		})
 	}
+}
+
+// Session open compiles each translation unit once, through the
+// fragment compiler, and analyzes the linked module; the fragment
+// state it keeps for later updates costs a bounded share on top of a
+// from-scratch analysis. Opening through a fragment compile plus a
+// second, whole-module compile measured 1.89× Analyze's allocs/op; one
+// frontend pass measures 1.48× on the default generated shape (1.58×
+// under -race). The pin sits between the two, so a second frontend pass
+// fails it.
+const maxOpenAllocRatio = 1.70
+
+func TestAllocRegression_SessionOpen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin skipped in -short mode")
+	}
+	const runs = 4
+	// Every call sees a system no earlier call analyzed (AllocsPerRun
+	// makes runs+1 calls), so no cache can hide a frontend pass.
+	systems := make([]corpus.Generated, 2*(runs+1))
+	for i := range systems {
+		systems[i] = corpus.Generate(int64(700+i), corpus.GenConfig{})
+	}
+	next := 0
+	measure := func(run func(g corpus.Generated) error) float64 {
+		return testing.AllocsPerRun(runs, func() {
+			g := systems[next]
+			next++
+			if err := run(g); err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+		})
+	}
+	analyze := measure(func(g corpus.Generated) error {
+		_, err := safeflow.Analyze(g.Name, g.Sources, g.CFiles, safeflow.Options{})
+		return err
+	})
+	open := measure(func(g corpus.Generated) error {
+		s, _, err := safeflow.Open(g.Name, g.Sources, g.CFiles, safeflow.Options{})
+		if err == nil {
+			s.Close()
+		}
+		return err
+	})
+	ratio := open / analyze
+	if ratio > maxOpenAllocRatio {
+		t.Errorf("safeflow.Open: %.0f allocs/op = %.2f× Analyze's %.0f, want ≤ %.2f×",
+			open, ratio, analyze, maxOpenAllocRatio)
+	}
+	t.Logf("safeflow.Open %.0f allocs/op, Analyze %.0f allocs/op: %.2f×", open, analyze, ratio)
 }

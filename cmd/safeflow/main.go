@@ -27,9 +27,9 @@
 //	-cpuprofile f  write a pprof CPU profile of the run to f
 //	-trace f       write a runtime execution trace of the run to f
 //	-cachedir d    persistent cache directory shared across runs and with
-//	               safeflowd ("auto" = the per-user cache dir); parsed
-//	               units and finished reports are reused across process
-//	               restarts, with every entry integrity-checked on read
+//	               safeflowd ("auto" = the per-user cache dir); finished
+//	               reports are reused across process restarts, with
+//	               every entry integrity-checked on read
 //	-watch         keep the session open after the initial report and
 //	               incrementally re-analyze on every source change,
 //	               printing per-update latency and the findings delta

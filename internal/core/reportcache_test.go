@@ -155,7 +155,6 @@ func TestFingerprintCoversReportOptions(t *testing.T) {
 		"workers":       {Workers: 3},
 		"stats":         {Stats: true},
 		"recover":       {Recover: true},
-		"parse-cache":   {DisableParseCache: true},
 		"disk-attached": {DiskCache: newMemCache()},
 	} {
 		if fingerprintSources("s", src, files, opts) != base {

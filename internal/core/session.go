@@ -15,13 +15,14 @@ import (
 )
 
 // Session holds a system open for incremental re-analysis. OpenSession
-// runs the full pipeline once and captures per-function state; Update
+// compiles every translation unit once into the fragment compiler,
+// analyzes the linked module and captures per-function state; Update
 // recompiles only the translation units whose preprocessed contents
-// changed (fragment compiler) and re-solves only the invalidated
-// functions plus their transitive caller cone (incremental vfg). The
-// patched report is byte-identical to a from-scratch analysis of the
-// edited sources at every worker count; any input the fast path cannot
-// represent exactly falls back to a from-scratch run transparently.
+// changed and re-solves only the invalidated functions plus their
+// transitive caller cone (incremental vfg). The patched report is
+// byte-identical to a from-scratch analysis of the edited sources at
+// every worker count; any input the fast path cannot represent exactly
+// falls back to a from-scratch run transparently.
 //
 // A Session is safe for concurrent use; updates are serialized (the
 // fragment cache and captured state are single-writer).
@@ -33,15 +34,15 @@ type Session struct {
 	sources map[string]string
 	cFiles  []string
 	fc      *frontend.FragmentCompiler
-	fragOK  bool
-	incr    *vfg.IncrState
-	locMemo map[string]*locEntry
-	last    *Report
+	// fragOK is false once the fragment path has failed and the session
+	// fell back to from-scratch runs (true at open: try fragments first).
+	fragOK bool
+	incr   *vfg.IncrState
+	last   *Report
 	// lastRes is the linked module the last good report was computed
-	// for (or, after open, the module whose analysis the open report is
-	// byte-identical to). When an update's compile returns the same
-	// result object — every fragment reused or adopted — the previous
-	// report is still exact and the downstream phases are skipped.
+	// for. When an update's compile returns the same result object —
+	// every fragment reused or adopted — the previous report is still
+	// exact and the downstream phases are skipped.
 	lastRes *irgen.Result
 	stats   UpdateStats
 }
@@ -64,48 +65,29 @@ type UpdateStats struct {
 	Restarts int
 }
 
-// OpenSession analyzes the system from scratch and opens it for
-// incremental updates. The sources map is copied; cFiles order is
-// preserved (it determines report identity).
+// OpenSession analyzes the system and opens it for incremental
+// updates. The open report is computed from the fragment-linked module
+// later updates patch, so each translation unit passes through the
+// frontend once; an input the fragment path cannot represent falls back
+// to a from-scratch analysis, exactly as in Update. The sources map is
+// copied; cFiles order is preserved (it determines report identity).
 func OpenSession(ctx context.Context, name string, sources map[string]string, cFiles []string, opts Options) (*Session, *Report, error) {
 	s := &Session{
 		name:    name,
 		opts:    opts,
 		sources: make(map[string]string, len(sources)),
 		cFiles:  append([]string(nil), cFiles...),
-		locMemo: make(map[string]*locEntry),
+		fragOK:  true,
 	}
 	for k, v := range sources {
 		s.sources[k] = v
 	}
-	fopts := frontend.Options{
-		Defines:           s.opts.Defines,
-		Workers:           s.opts.Workers,
-		DisableParseCache: s.opts.DisableParseCache,
-		DiskCache:         s.opts.DiskCache,
-	}
-	s.fc = frontend.NewFragmentCompiler(name, fopts, vfg.HashFunctionBody)
-
-	// Warm the fragment cache and take its body hashes as the session's
-	// fingerprint baseline, so the state captured now is comparable with
-	// the hashes later updates compute.
-	fres, hashes, fok := s.fc.Compile(ctx, cpp.MapSource(s.sources), s.cFiles)
-	s.fragOK = fok
-	if !fok {
-		hashes = nil
-	}
-
-	openOpts := s.opts
-	openOpts.incrOpts = &vfg.IncrOptions{BodyHashes: hashes}
-	rep, err := AnalyzeSourcesContext(ctx, name, cpp.MapSource(s.sources), s.cFiles, openOpts)
+	s.fc = frontend.NewFragmentCompiler(name, frontend.Options{Defines: opts.Defines}, vfg.HashFunctionBody)
+	rep, _, err := s.update(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.incr = rep.incrState
 	s.last = rep
-	if fok && !rep.Degraded && len(rep.Internal) == 0 {
-		s.lastRes = fres
-	}
 	return s, rep, nil
 }
 
@@ -149,6 +131,9 @@ func (s *Session) Update(ctx context.Context, changed map[string]string, removed
 	return rep, stats, nil
 }
 
+// update analyzes the session's current sources for OpenSession and
+// Update: through the fragment compiler and incremental phase 3 when the
+// fragments can represent the input, else from scratch.
 func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 	src := cpp.MapSource(s.sources)
 	if s.fragOK || s.incr != nil {
@@ -173,7 +158,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			col.SetPhase3(s.last.sccs, 0, 0, 0, 0)
 			col.SetIncremental(0, len(hashes), 0, 0)
 			rep := *s.last
-			rep.LinesOfCode, rep.AnnotationLines = s.countStats()
+			rep.LinesOfCode, rep.AnnotationLines = countSourceStats(src, s.cFiles)
 			// Comment-only edits can move safeflow:ignore directives
 			// without changing the module: re-apply suppression from the
 			// raw findings so the patched report stays byte-identical to a
@@ -190,7 +175,7 @@ func (s *Session) update(ctx context.Context) (*Report, UpdateStats, error) {
 			if err != nil {
 				return nil, UpdateStats{}, err
 			}
-			rep.LinesOfCode, rep.AnnotationLines = s.countStats()
+			rep.LinesOfCode, rep.AnnotationLines = countSourceStats(src, s.cFiles)
 			rep.finishReport(activePolicy(s.opts), scanSourceSuppressions(src, s.cFiles))
 			rep.Metrics = col.Finish()
 			if rep.incrState != nil {
@@ -254,7 +239,6 @@ func (s *Session) Close() {
 	s.fc = nil
 	s.incr = nil
 	s.lastRes = nil
-	s.locMemo = nil
 }
 
 // Last returns the most recent report (the open report until the first
@@ -270,61 +254,4 @@ func (s *Session) CFiles() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]string(nil), s.cFiles...)
-}
-
-// locEntry memoizes one file's contribution to countSourceStats: its
-// line counts and the quoted includes it pulls in, keyed by content.
-type locEntry struct {
-	content  string
-	loc      int
-	annots   int
-	includes []string
-}
-
-// countStats reproduces countSourceStats over the session's sources,
-// recounting only files whose contents changed since the last update.
-func (s *Session) countStats() (loc, annots int) {
-	seen := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		text, ok := s.sources[name]
-		if !ok {
-			return
-		}
-		e := s.locMemo[name]
-		if e == nil || e.content != text {
-			e = &locEntry{content: text}
-			for _, line := range strings.Split(text, "\n") {
-				trimmed := strings.TrimSpace(line)
-				if trimmed != "" {
-					e.loc++
-				}
-				if strings.Contains(line, "SafeFlow Annotation") {
-					e.annots++
-				}
-				if strings.HasPrefix(trimmed, "#include") {
-					if i := strings.IndexByte(trimmed, '"'); i >= 0 {
-						rest := trimmed[i+1:]
-						if j := strings.IndexByte(rest, '"'); j > 0 {
-							e.includes = append(e.includes, rest[:j])
-						}
-					}
-				}
-			}
-			s.locMemo[name] = e
-		}
-		loc += e.loc
-		annots += e.annots
-		for _, inc := range e.includes {
-			visit(inc)
-		}
-	}
-	for _, f := range s.cFiles {
-		visit(f)
-	}
-	return loc, annots
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // renderAll renders the forms whose byte-identity the incremental
-// analysis guarantees: the standard text report plus the JSON report
-// with execution-dependent metrics canonicalized away.
+// analysis guarantees: the standard text report, the JSON report with
+// execution-dependent metrics canonicalized away, and SARIF.
 func renderAll(t *testing.T, rep *core.Report) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -24,6 +24,9 @@ func renderAll(t *testing.T, rep *core.Report) string {
 	rep.Metrics.Canonicalize()
 	if err := report.WriteJSON(&buf, rep); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
+	}
+	if err := report.WriteSARIF(&buf, rep); err != nil {
+		t.Fatalf("WriteSARIF: %v", err)
 	}
 	return buf.String()
 }
@@ -205,8 +208,11 @@ func TestSessionDegradedThenFixed(t *testing.T) {
 	}
 }
 
-// TestSessionAddRemoveFile adds a new translation unit, then removes it,
-// comparing against from-scratch runs with the same unit list.
+// TestSessionAddRemoveFile adds a new translation unit with its own
+// header, then removes both, comparing against from-scratch runs with
+// the same unit list. The header is included with each spelling the
+// preprocessor accepts, so its lines must count in the session's source
+// stats exactly as in a fresh analysis.
 func TestSessionAddRemoveFile(t *testing.T) {
 	g := corpus.Generate(5, corpus.GenConfig{})
 	opts := core.Options{Workers: 2, Stats: true}
@@ -219,25 +225,29 @@ func TestSessionAddRemoveFile(t *testing.T) {
 		cur[k] = v
 	}
 
-	extra := "#include \"gen.h\"\n\ndouble extraStage(double x)\n{\n    return monitor0(x) + 1.0;\n}\n"
-	cur["extra.c"] = extra
-	rep, _, err := s.Update(context.Background(), map[string]string{"extra.c": extra})
-	if err != nil {
-		t.Fatalf("add update: %v", err)
-	}
-	wantFiles := append(append([]string(nil), g.CFiles...), "extra.c")
-	want := renderAll(t, fresh(t, g.Name, cur, wantFiles, opts))
-	if got := renderAll(t, rep); got != want {
-		t.Fatalf("report after adding extra.c differs from fresh analysis\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	header := "/* extra stage gain */\n#define EXTRA_GAIN 1.0\n"
+	for _, inc := range []string{`#include "extra.h"`, `# include "extra.h"`, "#include \\\n\"extra.h\""} {
+		extra := "#include \"gen.h\"\n" + inc + "\n\ndouble extraStage(double x)\n{\n    return monitor0(x) + EXTRA_GAIN;\n}\n"
+		cur["extra.c"], cur["extra.h"] = extra, header
+		rep, _, err := s.Update(context.Background(), map[string]string{"extra.c": extra, "extra.h": header})
+		if err != nil {
+			t.Fatalf("%q: add update: %v", inc, err)
+		}
+		wantFiles := append(append([]string(nil), g.CFiles...), "extra.c")
+		want := renderAll(t, fresh(t, g.Name, cur, wantFiles, opts))
+		if got := renderAll(t, rep); got != want {
+			t.Fatalf("%q: report after adding extra.c differs from fresh analysis\n--- got ---\n%s\n--- want ---\n%s", inc, got, want)
+		}
 
-	delete(cur, "extra.c")
-	rep, _, err = s.Update(context.Background(), nil, "extra.c")
-	if err != nil {
-		t.Fatalf("remove update: %v", err)
-	}
-	want = renderAll(t, fresh(t, g.Name, cur, g.CFiles, opts))
-	if got := renderAll(t, rep); got != want {
-		t.Fatalf("report after removing extra.c differs from fresh analysis")
+		delete(cur, "extra.c")
+		delete(cur, "extra.h")
+		rep, _, err = s.Update(context.Background(), nil, "extra.c", "extra.h")
+		if err != nil {
+			t.Fatalf("%q: remove update: %v", inc, err)
+		}
+		want = renderAll(t, fresh(t, g.Name, cur, g.CFiles, opts))
+		if got := renderAll(t, rep); got != want {
+			t.Fatalf("%q: report after removing extra.c differs from fresh analysis", inc)
+		}
 	}
 }

@@ -1,9 +1,8 @@
 // Package daemon implements safeflowd, the long-running SafeFlow
-// analysis service: the full pipeline behind POST /v1/analyze, kept hot
-// by the in-memory parse cache and the persistent disk cache shared with
-// the CLI. One daemon process amortizes parse work across every request,
-// and serves a repeated request from the report cache — across its own
-// restarts too — the way the cold CLI cannot.
+// analysis service: the full pipeline behind POST /v1/analyze, backed by
+// the persistent disk cache shared with the CLI. A repeated request is
+// served from the report cache — across the daemon's own restarts too —
+// and identical concurrent requests share one analysis.
 //
 // The service preserves the pipeline's two hard contracts (DESIGN.md
 // §7): byte determinism — the JSON body returned for a request is

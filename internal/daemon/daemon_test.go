@@ -22,15 +22,8 @@ import (
 
 	"safeflow/internal/corpus"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 	"safeflow/pkg/safeflow"
 )
-
-// resetMemoryCaches empties the in-memory parse cache, so only the disk
-// tier survives, as across a daemon restart.
-func resetMemoryCaches() {
-	frontend.ResetParseCache()
-}
 
 func figure2(t *testing.T) string {
 	t.Helper()
@@ -97,9 +90,6 @@ func cliJSON(t *testing.T, name string, sources map[string]string, cFiles []stri
 }
 
 func TestAnalyzeMatchesCLIColdAndWarm(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	src := figure2(t)
 	sources := map[string]string{"figure2.c": src}
 
@@ -113,10 +103,7 @@ func TestAnalyzeMatchesCLIColdAndWarm(t *testing.T) {
 	_, ts := newTestServer(t, Config{Cache: dc})
 
 	req := AnalyzeRequest{Name: "figure2", Sources: sources}
-	for _, temp := range []string{"cold", "disk-warm", "memory-warm"} {
-		if temp != "memory-warm" {
-			resetMemoryCaches()
-		}
+	for _, temp := range []string{"cold", "disk-warm"} {
 		resp, got := postAnalyze(t, ts.URL, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", temp, resp.StatusCode, got)
@@ -131,9 +118,6 @@ func TestAnalyzeMatchesCLIColdAndWarm(t *testing.T) {
 }
 
 func TestAnalyzeConcurrentRequestsDeterministic(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	src := figure2(t)
 	sources := map[string]string{"figure2.c": src}
 	want := cliJSON(t, "figure2", sources, []string{"figure2.c"}, safeflow.Options{})
@@ -182,9 +166,6 @@ func TestAnalyzeConcurrentRequestsDeterministic(t *testing.T) {
 // The acceptance bar, per corpus system: the daemon's bytes equal the
 // CLI writer's with the disk cache cold and warm.
 func TestAnalyzeCorpusMatchesCLI(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := diskcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +180,6 @@ func TestAnalyzeCorpusMatchesCLI(t *testing.T) {
 		want := cliJSON(t, sys.Name, src, sys.CFiles, safeflow.Options{})
 		req := AnalyzeRequest{Name: sys.Name, Sources: src, CFiles: sys.CFiles}
 		for _, temp := range []string{"cold", "disk-warm"} {
-			resetMemoryCaches()
 			resp, got := postAnalyze(t, ts.URL, req)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s %s: status %d: %s", sys.Name, temp, resp.StatusCode, got)
@@ -212,9 +192,6 @@ func TestAnalyzeCorpusMatchesCLI(t *testing.T) {
 }
 
 func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	src := figure2(t)
 	sources := map[string]string{"figure2.c": src}
 
@@ -226,14 +203,12 @@ func TestCorruptDiskEntryHealsWithoutChangingReport(t *testing.T) {
 	req := AnalyzeRequest{Name: "figure2", Sources: sources}
 
 	_, want := postAnalyze(t, ts.URL, req)
-	if dc.Len("parse") == 0 || dc.Len("report") == 0 {
-		t.Fatalf("no disk entries after first request: parse=%d report=%d",
-			dc.Len("parse"), dc.Len("report"))
+	if dc.Len("report") == 0 {
+		t.Fatal("no report entry on disk after the first request")
 	}
-	if n := dc.Corrupt("parse", 100) + dc.Corrupt("report", 100); n == 0 {
+	if n := dc.Corrupt("report", 100); n == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}
-	resetMemoryCaches() // force the daemon back onto the (damaged) disk tier
 
 	resp, got := postAnalyze(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -404,9 +379,6 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestLocalPathsForm(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dir := t.TempDir()
 	src := figure2(t)
 	path := dir + "/figure2.c"
@@ -431,9 +403,6 @@ func TestLocalPathsForm(t *testing.T) {
 }
 
 func TestStatsOptionControlsMetricsInBody(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	_, ts := newTestServer(t, Config{})
 	sources := map[string]string{"figure2.c": figure2(t)}
 

@@ -18,9 +18,6 @@ import (
 )
 
 func TestRemoteTierCarriesAnalysisTraffic(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	serverStore, err := diskcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +39,6 @@ func TestRemoteTierCarriesAnalysisTraffic(t *testing.T) {
 	src := figure2(t)
 	sources := map[string]string{"figure2.c": src}
 	want := cliJSON(t, "figure2", sources, []string{"figure2.c"}, safeflow.Options{})
-	resetMemoryCaches() // cliJSON warmed the in-process caches
 
 	req := AnalyzeRequest{Name: "figure2", Sources: sources}
 	resp, got := postAnalyze(t, ts.URL, req)
@@ -57,8 +53,8 @@ func TestRemoteTierCarriesAnalysisTraffic(t *testing.T) {
 	if stats.RemotePuts == 0 {
 		t.Fatalf("analysis wrote nothing to the remote tier: %+v", stats)
 	}
-	if serverStore.Len("parse") == 0 {
-		t.Error("remote store holds no parse entries after a cold analysis")
+	if serverStore.Len("report") == 0 {
+		t.Error("remote store holds no report entry after a cold analysis")
 	}
 
 	// A fresh daemon replica sharing only the remote tier must hit it.
@@ -72,7 +68,6 @@ func TestRemoteTierCarriesAnalysisTraffic(t *testing.T) {
 	}
 	tiered2 := remotecache.NewTiered(client2, local2)
 	_, ts2 := newTestServer(t, Config{Cache: local2, Remote: tiered2})
-	resetMemoryCaches()
 
 	resp, got = postAnalyze(t, ts2.URL, req)
 	if resp.StatusCode != http.StatusOK {

@@ -42,8 +42,6 @@ func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 }
 
 func TestAnalyzeSARIFFormat(t *testing.T) {
-	resetMemoryCaches()
-	t.Cleanup(resetMemoryCaches)
 	_, ts := newTestServer(t, Config{Workers: 2})
 
 	sources := map[string]string{"figure2.c": figure2(t)}
@@ -98,8 +96,6 @@ func TestAnalyzeSARIFFormat(t *testing.T) {
 }
 
 func TestAnalyzeFormatAndPolicyValidation(t *testing.T) {
-	resetMemoryCaches()
-	t.Cleanup(resetMemoryCaches)
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	req := AnalyzeRequest{Name: "x", Sources: map[string]string{"x.c": "int x;"}}
@@ -118,8 +114,6 @@ func TestAnalyzeFormatAndPolicyValidation(t *testing.T) {
 }
 
 func TestAnalyzePolicyOption(t *testing.T) {
-	resetMemoryCaches()
-	t.Cleanup(resetMemoryCaches)
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	src := map[string]string{"main.c": `

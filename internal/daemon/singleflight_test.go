@@ -47,9 +47,6 @@ func TestAnalyzeKeyDistinguishesRequests(t *testing.T) {
 // dedup_hits records N−1, and the aggregated run metrics show exactly
 // one analysis (figure2 is a single translation unit).
 func TestStampedeCollapsesToOneAnalysis(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	s, ts := newTestServer(t, Config{Concurrency: 1, QueueDepth: 4})
 	req := AnalyzeRequest{Name: "figure2", Sources: map[string]string{"figure2.c": figure2(t)}}
 
@@ -137,9 +134,6 @@ func TestStampedeCollapsesToOneAnalysis(t *testing.T) {
 
 // Requests that are not identical must not share a flight.
 func TestDistinctRequestsDoNotDedup(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	s, ts := newTestServer(t, Config{Concurrency: 2, QueueDepth: 8})
 	src := figure2(t)
 	var wg sync.WaitGroup

@@ -1,23 +1,22 @@
 // Package diskcache is a content-addressed on-disk cache shared by every
 // SafeFlow process on a machine: the CLI's warm starts, sfbench
 // iterations, and the safeflowd daemon all read and write the same
-// store, so a translation unit parsed (or a report finished) by one
-// process is a hit for the next — across process restarts.
+// store, so a report finished by one process is a hit for the next —
+// across process restarts.
 //
 // The store is an accelerator, never a source of record. Every read
 // verifies the entry against the SHA-256 of its payload recorded at
 // store time; an entry that fails the check — torn write on a crashed
 // filesystem, bit rot, a concurrent writer from a different build — is
 // evicted and reported as corrupt so the caller recomputes (and
-// re-stores) it. A damaged entry can cost time, never change a verdict,
-// which is the same self-healing contract the in-memory parse cache
-// already keeps (DESIGN.md §7).
+// re-stores) it. A damaged entry can cost time, never change a verdict
+// (DESIGN.md §7).
 //
 // Writes are atomic: each entry is written to a temp file in the same
 // directory and renamed into place, so concurrent processes never
 // observe a torn entry — they see either the old bytes, the new bytes,
 // or a miss. Entries are namespaced (one directory per namespace, e.g.
-// "parse" and "report") and versioned: a caller bumps its namespace
+// "report") and versioned: a caller bumps its namespace
 // version whenever its payload encoding changes, and entries written
 // under any other version are invalidated on read instead of being
 // decoded by the wrong codec.

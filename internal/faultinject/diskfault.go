@@ -19,17 +19,15 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 	"safeflow/internal/report"
 )
 
 // DiskScenario is one seeded disk-corruption run over a generated
 // system: analyze cold through a disk store, damage entries, then
-// re-analyze from the damaged store alone.
+// re-analyze from the damaged store.
 type DiskScenario struct {
 	Seed    int64            // drives the system generator
 	Gen     corpus.GenConfig // generated-system shape (zero = defaults)
-	Parse   int              // parse-namespace entries to corrupt (clamped)
 	Report  int              // report-namespace entries to corrupt (clamped)
 	Workers int              // pipeline worker count (0 = GOMAXPROCS)
 }
@@ -45,11 +43,9 @@ type DiskResult struct {
 }
 
 // RunDisk generates the scenario's system, analyzes it cold through
-// store, corrupts the requested number of entries per namespace, resets
-// the in-memory parse cache (simulating a process restart, so the next
-// run can only start from disk), and re-analyzes. A damaged parse entry
-// is only read when the report entry is damaged too: an intact report
-// entry serves the run without compiling anything. The JSON strings are
+// store, corrupts the requested number of report entries, and
+// re-analyzes: a damaged entry must be evicted and the report
+// recomputed, an intact one serves the run. The JSON strings are
 // rendered with metrics canonicalized so callers can compare bytes
 // directly; the live counters — including the healed run's
 // cache_corrupt_evictions — stay intact on Cold.Metrics and
@@ -63,20 +59,15 @@ func RunDisk(ctx context.Context, sc DiskScenario, store *diskcache.Store) (*Dis
 		DiskCache: store,
 	}
 
-	frontend.ResetParseCache()
 	cold, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cold run: %w", err)
 	}
-	if store.Len("parse") == 0 || store.Len("report") == 0 {
-		return nil, fmt.Errorf("cold run left store empty: parse=%d report=%d",
-			store.Len("parse"), store.Len("report"))
+	if store.Len("report") == 0 {
+		return nil, fmt.Errorf("cold run left the report namespace empty")
 	}
 
-	corrupted := store.Corrupt("parse", sc.Parse) + store.Corrupt("report", sc.Report)
-
-	// "Restart": only the (damaged) disk tier survives.
-	frontend.ResetParseCache()
+	corrupted := store.Corrupt("report", sc.Report)
 	healed, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("healed run: %w", err)

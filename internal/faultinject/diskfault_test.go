@@ -5,22 +5,19 @@ import (
 	"testing"
 
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 )
 
 // The self-healing invariant, end to end: damaging persistent entries
 // between runs must surface in cache_corrupt_evictions and must not
 // change one byte of the report.
 func TestDiskCorruptionInvariants(t *testing.T) {
-	defer frontend.ResetParseCache()
-
 	for _, seed := range []int64{1, 7, 42} {
 		store, err := diskcache.Open(t.TempDir(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := RunDisk(context.Background(), DiskScenario{
-			Seed: seed, Parse: 2, Report: 1,
+			Seed: seed, Report: 1,
 		}, store)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -47,17 +44,15 @@ func TestDiskCorruptionInvariants(t *testing.T) {
 	}
 }
 
-// After the healed run re-stored every damaged entry, a further restart
+// After the healed run re-stored every damaged entry, a further run
 // must be fully warm: disk hits, no corrupt evictions.
 func TestDiskCorruptionHealsStore(t *testing.T) {
-	defer frontend.ResetParseCache()
-
 	store, err := diskcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, err := RunDisk(context.Background(), DiskScenario{
-		Seed: 3, Parse: 100, Report: 100,
+		Seed: 3, Report: 100,
 	}, store)
 	if err != nil {
 		t.Fatal(err)

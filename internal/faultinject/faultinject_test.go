@@ -12,7 +12,6 @@ import (
 	"safeflow/internal/cpp"
 	"safeflow/internal/diag"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 )
 
 // harnessSeeds is the fixed seed set the CI smoke job runs; every
@@ -155,8 +154,6 @@ func openStore(t *testing.T) *diskcache.Store {
 // describes the full source set, not the surviving subset, so a later
 // run of the same sources would be served a degraded module's verdict.
 func TestNoReportCacheWritesOnFaultedRuns(t *testing.T) {
-	frontend.ResetParseCache()
-	defer frontend.ResetParseCache()
 	store := openStore(t)
 	for _, seed := range harnessSeeds {
 		sc := Scenario{Seed: seed, Faults: 1}
@@ -169,37 +166,10 @@ func TestNoReportCacheWritesOnFaultedRuns(t *testing.T) {
 	}
 }
 
-// A unit that failed to lex or parse must never publish a parse-cache
-// entry; units that parsed cleanly may (a typecheck fault fails later).
-func TestNoParseCacheEntryForFaultedUnit(t *testing.T) {
-	for _, seed := range harnessSeeds {
-		frontend.ResetParseCache()
-		sc := Scenario{Seed: seed, Faults: 1}
-		res, err := Run(context.Background(), sc)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, sc.Repro())
-		}
-		want := len(res.System.CFiles)
-		for _, f := range res.Faults {
-			if f.Kind == KindLex || f.Kind == KindParse {
-				want--
-			}
-		}
-		if n := frontend.ParseCacheLen(); n != want {
-			t.Errorf("seed %d (faults %v): parse cache has %d entries, want %d\n%s",
-				seed, res.Faults, n, want, sc.Repro())
-		}
-	}
-	frontend.ResetParseCache()
-}
-
-// Corrupted cache entries self-heal: the entry is evicted, the unit (or
-// report) is recomputed, the eviction shows up in run metrics, and the
-// report is unchanged from the healthy warm run.
+// Corrupted cache entries self-heal: the entry is evicted, the report
+// is recomputed, the eviction shows up in run metrics, and the report is
+// unchanged from the healthy warm run.
 func TestCacheCorruptionSelfHeals(t *testing.T) {
-	frontend.ResetParseCache()
-	defer frontend.ResetParseCache()
-
 	store := openStore(t)
 	scen := Scenario{Seed: 42, Stats: true}
 	run := func() (*Result, error) {
@@ -212,17 +182,13 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if warm.Report.Degraded {
 		t.Fatal("unfaulted scenario reported degraded")
 	}
-	if store.Len("report") == 0 || frontend.ParseCacheLen() == 0 {
-		t.Fatalf("healthy run did not populate caches (report=%d parse=%d)",
-			store.Len("report"), frontend.ParseCacheLen())
+	if store.Len("report") == 0 {
+		t.Fatal("healthy run did not populate the report cache")
 	}
 
-	// Damage the stored report, so the next run recomputes and reads
-	// the (also damaged) in-memory parse cache.
-	pc := frontend.CorruptParseCache(2)
 	rc := store.Corrupt("report", 1)
-	if pc == 0 || rc == 0 {
-		t.Fatalf("corruption hooks touched nothing (parse=%d report=%d)", pc, rc)
+	if rc == 0 {
+		t.Fatal("corruption hook touched nothing")
 	}
 	healed, err := run()
 	if err != nil {
@@ -236,8 +202,8 @@ func TestCacheCorruptionSelfHeals(t *testing.T) {
 	if m == nil {
 		t.Fatal("no metrics collected")
 	}
-	if m.CacheCorruptEvictions < pc+rc {
-		t.Errorf("cache_corrupt_evictions = %d, want >= %d", m.CacheCorruptEvictions, pc+rc)
+	if m.CacheCorruptEvictions < rc {
+		t.Errorf("cache_corrupt_evictions = %d, want >= %d", m.CacheCorruptEvictions, rc)
 	}
 	if m.ReportCacheMisses != 1 {
 		t.Errorf("damaged report entry was served: report_cache_misses = %d", m.ReportCacheMisses)

@@ -24,7 +24,6 @@ import (
 	"safeflow/internal/corpus"
 	"safeflow/internal/cpp"
 	"safeflow/internal/diskcache"
-	"safeflow/internal/frontend"
 )
 
 // FaultTransport wraps an http.RoundTripper with seeded, per-request
@@ -130,18 +129,23 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// RemoteScenario is one seeded remote-cache fault run over a generated
-// system: a baseline analysis with no cache at all, then cold and warm
-// analyses through the supplied (fault-injected) backend.
+// RemoteScenario is one seeded remote-cache fault run over a stream of
+// generated systems: a baseline analysis of each with no cache at all,
+// then cold and warm analyses of each through the supplied
+// (fault-injected) backend. A run touches the cache only through the
+// report namespace — one lookup per analysis, one store per miss — so a
+// stream of systems is what gives the client enough operations to
+// retry, trip its breaker and short-circuit.
 type RemoteScenario struct {
-	Seed    int64            // drives the system generator
+	Seed    int64            // system i is generated from seed Seed+i
+	Systems int              // systems in the stream (0 = 1)
 	Gen     corpus.GenConfig // generated-system shape (zero = defaults)
 	Workers int              // pipeline worker count (0 = GOMAXPROCS)
 }
 
-// RemoteResult is one remote-cache scenario's outcome. All three JSON
-// renderings must coincide for the isolation contract to hold.
-type RemoteResult struct {
+// RemoteRun is one system's three analyses. All three JSON renderings
+// must coincide for the isolation contract to hold.
+type RemoteRun struct {
 	System       *corpus.Generated
 	Baseline     *core.Report // no cache backend at all
 	Cold         *core.Report // first run through the faulty backend
@@ -151,46 +155,51 @@ type RemoteResult struct {
 	WarmJSON     string
 }
 
-// RunRemote generates the scenario's system and analyzes it three
-// times: once with no cache (the reference bytes), once cold through
-// backend (exercising the Put path under faults), and once warm after
-// a parse-cache reset (exercising the Get path under faults: the warm
-// run is a report-cache hit when the tier answers). The
-// JSON strings are canonicalized for direct byte comparison.
-func RunRemote(ctx context.Context, sc RemoteScenario, backend diskcache.CacheBackend) (*RemoteResult, error) {
-	gen := corpus.Generate(sc.Seed, sc.Gen)
-	base := core.Options{Recover: true, Workers: sc.Workers, Stats: true}
-
-	run := func(dc diskcache.CacheBackend, what string) (*core.Report, error) {
-		frontend.ResetParseCache()
-		opts := base
-		opts.DiskCache = dc
+// RunRemote generates the scenario's systems and analyzes the stream
+// three times, one pass per temperature: with no cache (the reference
+// bytes), cold through backend (report lookups miss, stores exercise the
+// Put path under faults), and warm through backend (the Get path under
+// faults: each run is a report-cache hit when a tier answers). Passes
+// run back to back, so the faulty backend sees its operations in quick
+// succession, as a busy replica would. The JSON strings are
+// canonicalized for direct byte comparison.
+func RunRemote(ctx context.Context, sc RemoteScenario, backend diskcache.CacheBackend) ([]RemoteRun, error) {
+	n := sc.Systems
+	if n <= 0 {
+		n = 1
+	}
+	runs := make([]RemoteRun, n)
+	for i := range runs {
+		gen := corpus.Generate(sc.Seed+int64(i), sc.Gen)
+		runs[i].System = &gen
+	}
+	analyze := func(gen *corpus.Generated, dc diskcache.CacheBackend, what string) (*core.Report, string, error) {
+		opts := core.Options{Recover: true, Workers: sc.Workers, Stats: true, DiskCache: dc}
 		rep, err := core.AnalyzeSourcesContext(ctx, gen.Name, cpp.MapSource(gen.Sources), gen.CFiles, opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s run: %w", what, err)
+			return nil, "", fmt.Errorf("%s run of %s: %w", what, gen.Name, err)
 		}
-		return rep, nil
+		js, err := canonicalJSON(rep)
+		return rep, js, err
 	}
-
-	res := &RemoteResult{System: &gen}
 	var err error
-	if res.Baseline, err = run(nil, "baseline"); err != nil {
-		return nil, err
+	for i := range runs {
+		r := &runs[i]
+		if r.Baseline, r.BaselineJSON, err = analyze(r.System, nil, "baseline"); err != nil {
+			return nil, err
+		}
 	}
-	if res.Cold, err = run(backend, "cold"); err != nil {
-		return nil, err
+	for i := range runs {
+		r := &runs[i]
+		if r.Cold, r.ColdJSON, err = analyze(r.System, backend, "cold"); err != nil {
+			return nil, err
+		}
 	}
-	if res.Warm, err = run(backend, "warm"); err != nil {
-		return nil, err
+	for i := range runs {
+		r := &runs[i]
+		if r.Warm, r.WarmJSON, err = analyze(r.System, backend, "warm"); err != nil {
+			return nil, err
+		}
 	}
-	if res.BaselineJSON, err = canonicalJSON(res.Baseline); err != nil {
-		return nil, err
-	}
-	if res.ColdJSON, err = canonicalJSON(res.Cold); err != nil {
-		return nil, err
-	}
-	if res.WarmJSON, err = canonicalJSON(res.Warm); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runs, nil
 }

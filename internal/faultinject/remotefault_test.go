@@ -48,6 +48,11 @@ func newFaultyTiered(t *testing.T, ft *FaultTransport) *remotecache.Tiered {
 	return remotecache.NewTiered(client, local)
 }
 
+// remoteSystems is the length of each scenario's system stream: enough
+// report lookups and stores for a total outage to exhaust the breaker's
+// failure threshold (3) and then be short-circuited.
+const remoteSystems = 6
+
 func TestRemoteFaultsNeverChangeReport(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -71,15 +76,17 @@ func TestRemoteFaultsNeverChangeReport(t *testing.T) {
 			tc.setRate(ft)
 			tiered := newFaultyTiered(t, ft)
 
-			res, err := RunRemote(context.Background(), RemoteScenario{Seed: int64(50 + i)}, tiered)
+			runs, err := RunRemote(context.Background(), RemoteScenario{Seed: int64(50 + i), Systems: remoteSystems}, tiered)
 			if err != nil {
 				t.Fatalf("analysis failed under %s faults: %v", tc.name, err)
 			}
-			if res.ColdJSON != res.BaselineJSON {
-				t.Errorf("cold report diverged from no-cache baseline under %s faults", tc.name)
-			}
-			if res.WarmJSON != res.BaselineJSON {
-				t.Errorf("warm report diverged from no-cache baseline under %s faults", tc.name)
+			for _, r := range runs {
+				if r.ColdJSON != r.BaselineJSON {
+					t.Errorf("%s: cold report diverged from no-cache baseline under %s faults", r.System.Name, tc.name)
+				}
+				if r.WarmJSON != r.BaselineJSON {
+					t.Errorf("%s: warm report diverged from no-cache baseline under %s faults", r.System.Name, tc.name)
+				}
 			}
 
 			stats := tiered.Snapshot()
@@ -117,15 +124,17 @@ func TestRemoteFaultsNeverChangeReport(t *testing.T) {
 func TestRemoteTierStillCachesWhenHealthy(t *testing.T) {
 	ft := NewFaultTransport(1, nil)
 	tiered := newFaultyTiered(t, ft)
-	res, err := RunRemote(context.Background(), RemoteScenario{Seed: 60}, tiered)
+	runs, err := RunRemote(context.Background(), RemoteScenario{Seed: 60, Systems: remoteSystems}, tiered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WarmJSON != res.BaselineJSON {
-		t.Error("warm report diverged")
-	}
-	if res.Warm.Metrics == nil || res.Warm.Metrics.DiskCacheHits == 0 || res.Warm.Metrics.ReportCacheHits != 1 {
-		t.Error("healthy warm run was not a report-cache hit through the tiered backend")
+	for _, r := range runs {
+		if r.WarmJSON != r.BaselineJSON {
+			t.Errorf("%s: warm report diverged", r.System.Name)
+		}
+		if r.Warm.Metrics == nil || r.Warm.Metrics.DiskCacheHits == 0 || r.Warm.Metrics.ReportCacheHits != 1 {
+			t.Errorf("%s: healthy warm run was not a report-cache hit through the tiered backend", r.System.Name)
+		}
 	}
 	stats := tiered.Snapshot()
 	if stats.RemotePuts == 0 {

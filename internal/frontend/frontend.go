@@ -39,7 +39,6 @@ import (
 	"safeflow/internal/cpp"
 	"safeflow/internal/csema"
 	"safeflow/internal/diag"
-	"safeflow/internal/diskcache"
 	"safeflow/internal/guard"
 	"safeflow/internal/irgen"
 	"safeflow/internal/metrics"
@@ -55,19 +54,8 @@ type Options struct {
 	// Workers bounds the number of translation units compiled concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 compiles sequentially.
 	Workers int
-	// DisableParseCache turns off the content-keyed parse cache, forcing
-	// every translation unit through lex + parse (cold-run benchmarks,
-	// memory-constrained batch runs).
-	DisableParseCache bool
-	// DiskCache, when non-nil, adds a persistent tier below the in-memory
-	// parse cache: on a memory miss the unit's AST is loaded from the
-	// content-addressed store, and freshly parsed units are written back,
-	// so unchanged units survive process restarts. Integrity-checked on
-	// read; a damaged entry degrades to a miss (cache_corrupt_evictions).
-	DiskCache diskcache.CacheBackend
 	// Metrics, when non-nil, receives goroutine observations from the
-	// worker pool (peak-concurrency instrumentation) and parse-cache
-	// hit/miss counts. Nil-safe.
+	// worker pool (peak-concurrency instrumentation). Nil-safe.
 	Metrics *metrics.Collector
 }
 
@@ -117,23 +105,6 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options) unitOutcome {
 			Unit: cf, Phase: diag.PhasePreprocess, Msg: err.Error(),
 		}}}
 	}
-	var key [32]byte
-	if !opts.DisableParseCache {
-		key = parseCacheKey(cf, text)
-		if f := parseCacheGet(key, opts.Metrics); f != nil {
-			opts.Metrics.AddFrontendCache(1, 0)
-			return unitOutcome{file: f}
-		}
-		if opts.DiskCache != nil {
-			if f := parseDiskGet(opts.DiskCache, key, cf, opts.Metrics); f != nil {
-				// Promote to the in-memory tier so siblings in this run
-				// (and later runs in this process) share the decoded AST.
-				parseCachePut(key, f)
-				opts.Metrics.AddFrontendCache(1, 0)
-				return unitOutcome{file: f}
-			}
-		}
-	}
 	lx := clex.New(cf, text)
 	toks := lx.All()
 	if errs := lx.Errors(); len(errs) > 0 {
@@ -173,15 +144,6 @@ func compileUnitDiags(sources cpp.Source, cf string, opts Options) unitOutcome {
 			})
 		}
 		return out
-	}
-	if !opts.DisableParseCache {
-		// Only fully parsed units are stored, so a failed, cancelled or
-		// panicking compilation never publishes a partial entry.
-		parseCachePut(key, f)
-		if opts.DiskCache != nil {
-			parseDiskPut(opts.DiskCache, key, f)
-		}
-		opts.Metrics.AddFrontendCache(0, 1)
 	}
 	return unitOutcome{file: f}
 }

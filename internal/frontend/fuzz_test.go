@@ -92,7 +92,7 @@ func FuzzParseRecovery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		render := func() string {
 			rr, err := frontend.CompileRecover("fuzz", cpp.MapSource{"main.c": src}, []string{"main.c"},
-				frontend.Options{DisableParseCache: true})
+				frontend.Options{})
 			if err != nil {
 				return "error: " + err.Error()
 			}

@@ -151,7 +151,7 @@ func (fc *FragmentCompiler) compile(ctx context.Context, sources cpp.Source, cFi
 		if !ok {
 			return nil, nil, false
 		}
-		key := parseCacheKey(cf, text)
+		key := fragmentKey(cf, text)
 		if f := fc.frags[cf]; f != nil && f.key == key {
 			frags = append(frags, f)
 			continue
@@ -287,6 +287,19 @@ func (fc *FragmentCompiler) sameFragment(a, b *fragment) bool {
 	return true
 }
 
+// fragmentKey is a fragment's content key: the SHA-256 of the unit's
+// file name and fully preprocessed text, so an edit to the unit or to
+// any header it includes changes the key.
+func fragmentKey(filename, expanded string) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write([]byte(filename))
+	h.Write([]byte{0})
+	h.Write([]byte(expanded))
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	return key
+}
+
 // expand preprocesses one unit exactly as compileUnitDiags does,
 // skipping the preprocessor entirely while the unit's recorded include
 // closure is unchanged.
@@ -313,43 +326,19 @@ func (fc *FragmentCompiler) expand(sources cpp.Source, cf string) (string, bool)
 	return text, true
 }
 
-// build compiles one fragment: parse (through the shared parse cache),
-// single-file type-check, lower, promote, hash. Any diagnostic fails the
+// build compiles one fragment: lex, parse, single-file type-check,
+// lower, promote, hash. Any diagnostic fails the
 // fragment path.
 func (fc *FragmentCompiler) build(cf, text string, key [sha256.Size]byte) (*fragment, bool) {
-	var file *cast.File
-	if !fc.opts.DisableParseCache {
-		if f := parseCacheGet(key, fc.opts.Metrics); f != nil {
-			fc.opts.Metrics.AddFrontendCache(1, 0)
-			file = f
-		} else if fc.opts.DiskCache != nil {
-			if f := parseDiskGet(fc.opts.DiskCache, key, cf, fc.opts.Metrics); f != nil {
-				parseCachePut(key, f)
-				fc.opts.Metrics.AddFrontendCache(1, 0)
-				file = f
-			}
-		}
+	lx := clex.New(cf, text)
+	toks := lx.All()
+	if len(lx.Errors()) > 0 {
+		return nil, false
 	}
-	if file == nil {
-		lx := clex.New(cf, text)
-		toks := lx.All()
-		if len(lx.Errors()) > 0 {
-			return nil, false
-		}
-		f, err := cparse.New(cf, toks).ParseFile()
-		if err != nil {
-			return nil, false
-		}
-		if !fc.opts.DisableParseCache {
-			parseCachePut(key, f)
-			if fc.opts.DiskCache != nil {
-				parseDiskPut(fc.opts.DiskCache, key, f)
-			}
-			fc.opts.Metrics.AddFrontendCache(0, 1)
-		}
-		file = f
+	file, err := cparse.New(cf, toks).ParseFile()
+	if err != nil {
+		return nil, false
 	}
-
 	prog, err := csema.Analyze([]*cast.File{file})
 	if err != nil {
 		return nil, false

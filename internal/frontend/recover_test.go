@@ -12,7 +12,7 @@ import (
 // reached the caller. The fail-stop error carries every message.
 func TestLexReportsAllErrors(t *testing.T) {
 	src := "int a = @;\nchar *s = \"unterminated;\n"
-	_, err := CompileString("lexerrs", src, Options{DisableParseCache: true})
+	_, err := CompileString("lexerrs", src, Options{})
 	if err == nil {
 		t.Fatal("expected lex errors")
 	}
@@ -26,7 +26,7 @@ func TestLexReportsAllErrors(t *testing.T) {
 func recoverCompile(t *testing.T, sources map[string]string, cFiles []string) *RecoverResult {
 	t.Helper()
 	rr, err := CompileRecover("recover", cpp.MapSource(sources), cFiles,
-		Options{DisableParseCache: true})
+		Options{})
 	if err != nil {
 		t.Fatalf("CompileRecover: %v", err)
 	}

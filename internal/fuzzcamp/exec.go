@@ -126,10 +126,9 @@ func (e *Executor) maxSteps() int64 {
 // analyze runs one recovering, cache-free analysis of the sources.
 func analyze(ctx context.Context, in Input, sources map[string]string, workers int, stats bool) (*core.Report, error) {
 	return core.AnalyzeSourcesContext(ctx, in.Name, cpp.MapSource(sources), in.CFiles, core.Options{
-		Recover:           true,
-		Workers:           workers,
-		Stats:             stats,
-		DisableParseCache: true,
+		Recover: true,
+		Workers: workers,
+		Stats:   stats,
 	})
 }
 
@@ -212,7 +211,7 @@ func (e *Executor) Execute(ctx context.Context, in Input) (*ExecResult, error) {
 	// a complete module).
 	var hot map[ctoken.Pos]bool
 	if cres, cerr := frontend.Compile(in.Name, cpp.MapSource(in.Sources), in.CFiles,
-		frontend.Options{DisableParseCache: true}); cerr == nil {
+		frontend.Options{}); cerr == nil {
 		m := interp.New(cres.Module, execWorld{})
 		m.MaxSteps = e.maxSteps()
 		tr := m.EnableTaint(shmflow.Analyze(cres.Module, callgraph.New(cres.Module)))
@@ -280,25 +279,52 @@ func (e *Executor) Execute(ctx context.Context, in Input) (*ExecResult, error) {
 
 // checkIncremental opens a session on the input, applies two edits — a
 // trailing comment (pure frontend churn, nothing invalidated) and a new
-// top-level function (module and callgraph change) — and requires every
-// patched report to render byte-identically to a from-scratch analysis
-// of the same edited sources. Inputs the session's fast path cannot
-// represent fall back internally; equivalence must hold either way.
+// top-level function (module and callgraph change) — and requires the
+// open report and every patched report to render byte-identically to a
+// from-scratch analysis of the same sources. Inputs the session's fast
+// path cannot represent fall back internally; equivalence must hold
+// either way.
 func (e *Executor) checkIncremental(ctx context.Context, in Input) (*Violation, error) {
 	if len(in.CFiles) == 0 {
 		return nil, nil
 	}
 	opts := core.Options{
-		Recover:           true,
-		Workers:           e.workers()[0],
-		DisableParseCache: true,
+		Recover: true,
+		Workers: e.workers()[0],
 	}
-	sess, _, err := core.OpenSession(ctx, in.Name, in.Sources, in.CFiles, opts)
+	sess, open, err := core.OpenSession(ctx, in.Name, in.Sources, in.CFiles, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, nil // structured rejection: nothing to compare
+	}
+	defer sess.Close()
+	// same reports whether rep renders like a from-scratch analysis of
+	// cur; a from-scratch rejection leaves nothing to compare.
+	same := func(rep *core.Report, cur Input) (bool, error) {
+		want, err := analyze(ctx, cur, cur.Sources, e.workers()[0], false)
+		if err != nil {
+			if ctx.Err() != nil {
+				return false, ctx.Err()
+			}
+			return true, nil
+		}
+		repBytes, err := render(stripMetrics(rep))
+		if err != nil {
+			return false, err
+		}
+		wantBytes, err := render(stripMetrics(want))
+		if err != nil {
+			return false, err
+		}
+		return repBytes == wantBytes, nil
+	}
+	if ok, err := same(open, in); err != nil {
+		return nil, err
+	} else if !ok {
+		return &Violation{Oracle: OracleIncremental,
+			Detail: "open report differs from from-scratch analysis of the same sources"}, nil
 	}
 	target := in.CFiles[0]
 	cur := in.Clone()
@@ -315,22 +341,9 @@ func (e *Executor) checkIncremental(ctx context.Context, in Input) (*Violation, 
 			}
 			return nil, nil
 		}
-		want, err := analyze(ctx, cur, cur.Sources, e.workers()[0], false)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, nil
-		}
-		repBytes, err := render(stripMetrics(rep))
-		if err != nil {
+		if ok, err := same(rep, cur); err != nil {
 			return nil, err
-		}
-		wantBytes, err := render(stripMetrics(want))
-		if err != nil {
-			return nil, err
-		}
-		if repBytes != wantBytes {
+		} else if !ok {
 			return &Violation{Oracle: OracleIncremental,
 				Detail: fmt.Sprintf("update %d: patched report differs from from-scratch analysis of the edited sources", i)}, nil
 		}

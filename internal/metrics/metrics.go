@@ -56,15 +56,17 @@ type RunMetrics struct {
 	// the run that stored the report.
 	ReportCacheHits   int `json:"report_cache_hits,omitempty"`
 	ReportCacheMisses int `json:"report_cache_misses,omitempty"`
-	// Frontend parse-cache counters (omitted from JSON when zero).
+	// FrontendCacheHits and FrontendCacheMisses are always 0: the
+	// frontend keeps no cache. They stay declared for readers that
+	// select counters by JSON name (omitted from JSON when zero).
 	FrontendCacheHits   int `json:"frontend_cache_hits,omitempty"`
 	FrontendCacheMisses int `json:"frontend_cache_misses,omitempty"`
 	// Disk-cache tier counters (omitted from JSON when zero): hits and
 	// misses observed against the persistent content-addressed store that
-	// backs the parse and report caches across process restarts.
+	// backs the report cache across process restarts.
 	DiskCacheHits   int `json:"disk_cache_hits,omitempty"`
 	DiskCacheMisses int `json:"disk_cache_misses,omitempty"`
-	// CacheCorruptEvictions counts cache entries (parse or report) whose
+	// CacheCorruptEvictions counts report-cache entries whose
 	// integrity check failed on load: each was evicted and recomputed
 	// instead of poisoning the run. Omitted from JSON when zero.
 	CacheCorruptEvictions int `json:"cache_corrupt_evictions,omitempty"`
@@ -207,20 +209,8 @@ func (c *Collector) SetIncremental(funcsInvalidated, funcsReused, unitsReplayed,
 	c.mu.Unlock()
 }
 
-// AddFrontendCache accumulates parse-cache hit/miss counts; translation
-// units report concurrently from the frontend worker pool.
-func (c *Collector) AddFrontendCache(hits, misses int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.m.FrontendCacheHits += hits
-	c.m.FrontendCacheMisses += misses
-	c.mu.Unlock()
-}
-
-// AddDiskCache accumulates persistent-cache hit/miss counts; the parse
-// and report caches report them when a disk tier is attached.
+// AddDiskCache accumulates persistent-cache hit/miss counts; the report
+// cache reports them when a disk tier is attached.
 func (c *Collector) AddDiskCache(hits, misses int) {
 	if c == nil {
 		return

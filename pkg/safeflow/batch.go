@@ -1,8 +1,8 @@
 // Batch analysis: fan whole-system analyses out over a bounded worker
 // pool. Each job is an independent pipeline run (its own module, points-to
-// and value-flow state), so systems analyze concurrently without sharing
-// anything but the process-global parse cache; per-job Options.Workers
-// additionally parallelizes inside each pipeline.
+// and value-flow state), so systems analyze concurrently and share
+// nothing but a DiskCache their Options may name; per-job
+// Options.Workers additionally parallelizes inside each pipeline.
 //
 // Jobs are fault-isolated: a panic anywhere in one job's pipeline
 // becomes that job's InternalError result while the rest of the batch

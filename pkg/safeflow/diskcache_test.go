@@ -1,9 +1,9 @@
 package safeflow_test
 
-// Persistent-cache behavior through the public pipeline: a "process
-// restart" is simulated by resetting the in-memory parse cache between
-// runs that share one disk cache directory. The restarted run must be
-// served from the report cache on disk alone, a corrupted disk entry
+// Persistent-cache behavior through the public pipeline: runs that
+// share one disk cache directory stand for process restarts, since
+// nothing but the disk tier carries over between them. A repeated run
+// must be served from the report cache on disk, a corrupted disk entry
 // must be evicted and recomputed (surfacing in cache_corrupt_evictions),
 // and every report — cold, warm, corrupt-healed — must stay
 // byte-identical.
@@ -14,15 +14,8 @@ import (
 	"testing"
 
 	"safeflow/internal/corpus"
-	"safeflow/internal/frontend"
 	"safeflow/pkg/safeflow"
 )
-
-// resetMemoryCaches simulates a process restart: the in-memory parse
-// cache is emptied so only the disk tier can make the next run warm.
-func resetMemoryCaches() {
-	frontend.ResetParseCache()
-}
 
 func reportBytes(t *testing.T, rep *safeflow.Report) []byte {
 	t.Helper()
@@ -34,9 +27,6 @@ func reportBytes(t *testing.T, rep *safeflow.Report) []byte {
 }
 
 func TestDiskCacheWarmAcrossRestart(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := safeflow.OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +46,6 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 			cold.Metrics.DiskCacheHits, cold.Metrics.DiskCacheMisses)
 	}
 
-	// "Restart the process": only the disk tier survives.
-	resetMemoryCaches()
 	warm, err := safeflow.AnalyzeString("figure2", string(src), statsOpts)
 	if err != nil {
 		t.Fatalf("warm analyze: %v", err)
@@ -66,24 +54,9 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 		t.Fatalf("restarted run: disk hits=%d misses=%d, want >0 hits",
 			warm.Metrics.DiskCacheHits, warm.Metrics.DiskCacheMisses)
 	}
-	if warm.Metrics.ReportCacheHits != 1 || warm.Metrics.FrontendCacheMisses != 0 {
-		t.Fatalf("restarted run: report-cache hits=%d, parse misses=%d; want a hit that compiles nothing",
-			warm.Metrics.ReportCacheHits, warm.Metrics.FrontendCacheMisses)
-	}
-
-	// With the report entry gone, the parse entries on disk still make
-	// the restarted run's frontend warm.
-	if dc.Corrupt("report", 1) != 1 {
-		t.Fatal("no report entry to damage")
-	}
-	resetMemoryCaches()
-	reparsed, err := safeflow.AnalyzeString("figure2", string(src), statsOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reparsed.Metrics.FrontendCacheHits == 0 || reparsed.Metrics.ReportCacheMisses != 1 {
-		t.Fatalf("restarted run without a report entry: parse hits=%d, report misses=%d",
-			reparsed.Metrics.FrontendCacheHits, reparsed.Metrics.ReportCacheMisses)
+	if warm.Metrics.ReportCacheHits != 1 || warm.Module != nil {
+		t.Fatalf("restarted run: report-cache hits=%d, module compiled=%v; want a hit that compiles nothing",
+			warm.Metrics.ReportCacheHits, warm.Module != nil)
 	}
 
 	// Reports must not depend on cache temperature. Compare a genuinely
@@ -94,12 +67,10 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := safeflow.Options{DiskCache: dc2}
-	resetMemoryCaches()
 	coldPlain, err := safeflow.AnalyzeString("figure2", string(src), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resetMemoryCaches()
 	warmPlain, err := safeflow.AnalyzeString("figure2", string(src), plain)
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +81,6 @@ func TestDiskCacheWarmAcrossRestart(t *testing.T) {
 }
 
 func TestDiskCacheCorruptionHeals(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := safeflow.OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -128,17 +96,14 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := base
-	if dc.Len("parse") == 0 || dc.Len("report") == 0 {
-		t.Fatalf("expected disk entries after cold run: parse=%d report=%d",
-			dc.Len("parse"), dc.Len("report"))
+	if dc.Len("report") == 0 {
+		t.Fatal("expected a report entry on disk after the cold run")
 	}
 
-	// Damage every entry in both namespaces, then "restart".
-	nCorrupt := dc.Corrupt("parse", 100) + dc.Corrupt("report", 100)
-	if nCorrupt == 0 {
+	// Damage every entry, then "restart".
+	if dc.Corrupt("report", 100) == 0 {
 		t.Fatal("Corrupt damaged nothing")
 	}
-	resetMemoryCaches()
 	healed, err := safeflow.AnalyzeString("figure2", string(src), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +124,6 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 
 	// The recomputed run re-stored the entries: the next restart is warm
 	// again and the entries verify.
-	resetMemoryCaches()
 	again, err := safeflow.AnalyzeString("figure2", string(src), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -176,9 +140,6 @@ func TestDiskCacheCorruptionHeals(t *testing.T) {
 // corpus system: with the disk cache cold and warm, at workers 1 and 8,
 // the JSON report bytes never change.
 func TestDiskCacheCorpusDeterminism(t *testing.T) {
-	resetMemoryCaches()
-	defer resetMemoryCaches()
-
 	dc, err := safeflow.OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +152,6 @@ func TestDiskCacheCorpusDeterminism(t *testing.T) {
 		var want []byte
 		for _, workers := range []int{1, 8} {
 			for _, temp := range []string{"cold", "disk-warm"} {
-				if temp == "cold" {
-					// Cold: empty memory tiers AND a run that has never
-					// seen this system's keys... the disk tier fills on
-					// the first cold run, so later "cold" runs are
-					// disk-warm; that is exactly the matrix we want.
-					resetMemoryCaches()
-				}
 				rep, err := safeflow.Analyze(sys.Name, src, sys.CFiles,
 					safeflow.Options{Workers: workers, DiskCache: dc})
 				if err != nil {

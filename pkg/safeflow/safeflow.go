@@ -87,11 +87,11 @@ type RunMetrics = metrics.RunMetrics
 type CacheBackend = diskcache.CacheBackend
 
 // DiskCache is a content-addressed on-disk cache shared by every
-// SafeFlow process pointed at the same directory: parsed translation
-// units and finished reports persist across process restarts, so a
-// repeated analysis of unchanged input is served its stored report even
-// from a cold process. Every entry is integrity-checked on read (SHA-256 of the
-// payload recorded at store time); corrupted entries are evicted and
+// SafeFlow process pointed at the same directory: finished reports
+// persist across process restarts, so a repeated analysis of unchanged
+// input is served its stored report even from a cold process. Every
+// entry is integrity-checked on read (SHA-256 of the payload recorded
+// at store time); corrupted entries are evicted and
 // recomputed, surfacing in run metrics as cache_corrupt_evictions. The
 // store is size-bounded with least-recently-used eviction.
 type DiskCache = diskcache.Store

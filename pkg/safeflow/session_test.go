@@ -11,8 +11,8 @@ import (
 )
 
 // renderSession renders the forms whose byte-identity a session
-// guarantees: the text report plus the JSON report with
-// execution-dependent metrics canonicalized away.
+// guarantees: the text report, the JSON report with execution-dependent
+// metrics canonicalized away, and SARIF.
 func renderSession(t *testing.T, rep *safeflow.Report) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -20,6 +20,9 @@ func renderSession(t *testing.T, rep *safeflow.Report) string {
 	rep.Metrics.Canonicalize()
 	if err := safeflow.WriteReportJSON(&buf, rep); err != nil {
 		t.Fatalf("WriteReportJSON: %v", err)
+	}
+	if err := safeflow.WriteReportSARIF(&buf, rep); err != nil {
+		t.Fatalf("WriteReportSARIF: %v", err)
 	}
 	return buf.String()
 }
