@@ -473,7 +473,9 @@ func runAblation(w io.Writer) bool {
 	fmt.Fprintln(w, strings.Repeat("=", 78))
 	ok := true
 	for _, sys := range corpus.All() {
-		fast, err := sys.Analyze(core.Options{})
+		// Sequential, so the summary-mode count is the pinned one: at more
+		// workers a recursive component's re-solves follow the schedule.
+		fast, err := sys.Analyze(core.Options{Workers: 1})
 		if err != nil {
 			fmt.Fprintf(w, "  %-17s error: %v\n", sys.Name, err)
 			ok = false
